@@ -116,10 +116,35 @@ def _need(data: dict, key: str, ctx: str):
     return data[key]
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false arrive as bool, a subclass of int; they are not sizes
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(value: Any, ctx: str, what: str) -> int:
+    if not _is_int(value):
+        raise DocumentError(f"{ctx}: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value: Any, ctx: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{ctx}: {what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _rows(value: Any, ctx: str, what: str) -> list[list]:
+    """A list of lists, as operator rows and action families are."""
+    rows = _list(value, ctx, what)
+    for row in rows:
+        _list(row, ctx, f"each row of {what}")
+    return rows
+
+
 def _resolve(data: Any, defs: dict, ctx: str) -> Any:
     if isinstance(data, dict) and set(data.keys()) == {"ref"}:
         name = data["ref"]
-        if name not in defs:
+        if not isinstance(name, str) or name not in defs:
             raise DocumentError(f"{ctx}: unresolved reference {name!r}")
         return defs[name]
     return data
@@ -127,27 +152,34 @@ def _resolve(data: Any, defs: dict, ctx: str) -> Any:
 
 def _parse_pointed_set(data: Any, defs: dict, ctx: str) -> PointedSet:
     data = _resolve(data, defs, ctx)
-    size = _need(data, "size", ctx)
+    size = _int(_need(data, "size", ctx), ctx, "size")
     labels = data.get("labels")
+    if labels is not None:
+        labels = tuple(_list(labels, ctx, "labels"))
+        if not all(isinstance(l, str) for l in labels):
+            raise DocumentError(f"{ctx}: labels must be strings")
     try:
-        return PointedSet(int(size), tuple(labels) if labels is not None else None)
-    except (TypeError, ValueError) as exc:
+        return PointedSet(size, labels)
+    except ValueError as exc:
         raise DocumentError(f"{ctx}: {exc}") from exc
 
 
 def _parse_table(data: Any, ctx: str) -> tuple[int, ...]:
     if not isinstance(data, list):
         raise DocumentError(f"{ctx}: table must be a list")
-    return tuple(int(v) for v in data)
+    bad = next((v for v in data if not _is_int(v)), None)
+    if bad is not None:
+        raise DocumentError(f"{ctx}: table entries must be integers, got {bad!r}")
+    return tuple(data)
 
 
 def _parse_sset(data: Any, defs: dict, ctx: str) -> SimplicialSet:
     data = _resolve(data, defs, ctx)
-    trunc = int(_need(data, "trunc", ctx))
+    trunc = _int(_need(data, "trunc", ctx), ctx, "trunc")
     levels = tuple(_parse_pointed_set(p, defs, f"{ctx}.levels[{k}]")
-                   for k, p in enumerate(_need(data, "levels", ctx)))
-    raw_faces = _need(data, "faces", ctx)
-    raw_degens = _need(data, "degens", ctx)
+                   for k, p in enumerate(_list(_need(data, "levels", ctx), ctx, "levels")))
+    raw_faces = _rows(_need(data, "faces", ctx), ctx, "faces")
+    raw_degens = _rows(_need(data, "degens", ctx), ctx, "degens")
     if len(raw_faces) != trunc + 1 or len(raw_degens) != trunc + 1:
         raise DocumentError(f"{ctx}: operator rows must cover dimensions 0..{trunc}")
     try:
@@ -171,7 +203,7 @@ def _parse_sset_map_tables(tables: Any, dom: SimplicialSet, cod: SimplicialSet,
     try:
         comps = tuple(
             PointedMap(dom.levels[k], cod.levels[k], _parse_table(t, ctx))
-            for k, t in enumerate(tables)
+            for k, t in enumerate(_list(tables, ctx, "components"))
         )
         return SimplicialMap(dom, cod, comps)
     except (ValueError, IndexError) as exc:
@@ -181,11 +213,12 @@ def _parse_sset_map_tables(tables: Any, dom: SimplicialSet, cod: SimplicialSet,
 def _parse_spectrum(data: Any, defs: dict, ctx: str) -> SymSpectrum:
     data = _resolve(data, defs, ctx)
     trunc = _need(data, "trunc", ctx)
-    strunc, dtrunc = int(_need(trunc, "N", ctx)), int(_need(trunc, "D", ctx))
+    strunc = _int(_need(trunc, "N", ctx), ctx, "N")
+    dtrunc = _int(_need(trunc, "D", ctx), ctx, "D")
     levels = tuple(_parse_sset(l, defs, f"{ctx}.levels[{n}]")
-                   for n, l in enumerate(_need(data, "levels", ctx)))
-    raw_actions = _need(data, "actions", ctx)
-    raw_sigma = _need(data, "sigma", ctx)
+                   for n, l in enumerate(_list(_need(data, "levels", ctx), ctx, "levels")))
+    raw_actions = _rows(_need(data, "actions", ctx), ctx, "actions")
+    raw_sigma = _list(_need(data, "sigma", ctx), ctx, "sigma")
     try:
         gens = tuple(
             tuple(_parse_sset_map_tables(g, levels[n], levels[n],
@@ -207,7 +240,7 @@ def _parse_spectrum_map_tables(tables: Any, dom: SymSpectrum, cod: SymSpectrum,
     try:
         comps = tuple(
             _parse_sset_map_tables(t, dom.levels[n], cod.levels[n], f"{ctx}[{n}]")
-            for n, t in enumerate(tables)
+            for n, t in enumerate(_list(tables, ctx, "components"))
         )
         return SpectrumMap(dom, cod, comps)
     except (ValueError, IndexError) as exc:
@@ -217,11 +250,11 @@ def _parse_spectrum_map_tables(tables: Any, dom: SymSpectrum, cod: SymSpectrum,
 def _parse_simplicial_spectrum(data: Any, defs: dict, ctx: str) -> SimplicialSpectrum:
     data = _resolve(data, defs, ctx)
     trunc = _need(data, "trunc", ctx)
-    ktrunc = int(_need(trunc, "K", ctx))
+    ktrunc = _int(_need(trunc, "K", ctx), ctx, "K")
     degrees = tuple(_parse_spectrum(d, defs, f"{ctx}.degrees[{m}]")
-                    for m, d in enumerate(_need(data, "degrees", ctx)))
-    raw_faces = _need(data, "faces", ctx)
-    raw_degens = _need(data, "degens", ctx)
+                    for m, d in enumerate(_list(_need(data, "degrees", ctx), ctx, "degrees")))
+    raw_faces = _rows(_need(data, "faces", ctx), ctx, "faces")
+    raw_degens = _rows(_need(data, "degens", ctx), ctx, "degens")
     try:
         faces = tuple(
             tuple(_parse_spectrum_map_tables(t, degrees[m], degrees[m - 1],
@@ -274,7 +307,7 @@ def parse_document(data: Any):
     if kind == "simplicial-spectrum-map":
         dom = _parse_simplicial_spectrum(_need(data, "dom", ctx), defs, f"{ctx}.dom")
         cod = _parse_simplicial_spectrum(_need(data, "cod", ctx), defs, f"{ctx}.cod")
-        raw = _need(data, "components", ctx)
+        raw = _list(_need(data, "components", ctx), ctx, "components")
         try:
             comps = tuple(
                 _parse_spectrum_map_tables(t, dom.degrees[m], cod.degrees[m],

@@ -181,7 +181,8 @@ def _gen_sset_once(rng: random.Random, trunc: int, max_base: int = 3,
     degens.append(())
     out = SimplicialSet(trunc, tuple(levels), tuple(faces), tuple(degens))
     rep = validate_sset(out)
-    assert rep.passed, rep.detail
+    if not rep.passed:
+        raise AssertionError(rep.detail)
     return out
 
 
@@ -340,7 +341,8 @@ def gen_bisimplicial(rng: random.Random, htrunc: int = 3, vtrunc: int = 3,
         if max(p.size for row in cand.rows for p in row.levels) <= grid_cap:
             break
     rep = validate_bisimplicial(b)
-    assert rep.passed, rep.detail
+    if not rep.passed:
+        raise AssertionError(rep.detail)
     return b
 
 
@@ -458,7 +460,8 @@ def gen_spectrum(rng: random.Random, strunc: int = 3, dtrunc: int = 4,
     if rng.random() < 0.5:
         x = _quotient_spectrum(rng, x, rng.randint(1, 3))
     rep = validate_spectrum(x)
-    assert rep.passed, rep.detail
+    if not rep.passed:
+        raise AssertionError(rep.detail)
     return x
 
 
@@ -586,7 +589,8 @@ def shifted_free_spectrum(a: SimplicialSet, strunc: int) -> SymSpectrum:
 
     out = SymSpectrum(strunc, d, tuple(levels), tuple(gens[: strunc + 1]), tuple(sigmas))
     rep = validate_spectrum(out)
-    assert rep.passed, rep.detail
+    if not rep.passed:
+        raise AssertionError(rep.detail)
     return out
 
 
@@ -657,7 +661,8 @@ def gen_good_simplicial_spectrum(rng: random.Random, cfg: GenConfig,
             parts.append(mold_simplicial_spectrum(base, mold))
     x = parts[0] if n_parts == 1 else wedge_simplicial_spectra(parts)[0]
     rep = is_positive_good(x) if positive else is_good(x)
-    assert rep.passed, f"generator postcondition violated: {rep.detail}"
+    if not rep.passed:
+        raise AssertionError(f"generator postcondition violated: {rep.detail}")
     return x
 
 

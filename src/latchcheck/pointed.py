@@ -368,7 +368,8 @@ def pullback(f: PointedMap, g: PointedMap) -> PullbackResult:
         if f.table[b] == g.table[c]
     ]
     pairs.sort()
-    assert pairs[0] == (0, 0)
+    if pairs[0] != (0, 0):
+        raise AssertionError("pullback: the basepoint pair (0, 0) is missing")
     obj = PointedSet(len(pairs))
     proj1 = PointedMap(obj, f.dom, tuple(b for b, _ in pairs))
     proj2 = PointedMap(obj, g.dom, tuple(c for _, c in pairs))

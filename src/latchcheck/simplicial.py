@@ -6,9 +6,11 @@ top retained dimension, every operation states the largest dimension at
 which its output is meaningful, and nothing ever reads above it.
 
 Colimits (wedge, coequalizer, pushout) are computed dimensionwise by the
-pointed-set engine; the induced operators are produced through the
-universal property, so an ill-defined induction raises instead of
-silently producing garbage.
+pointed-set engine.  Their induced faces and degeneracies are read off
+the leg tables directly: a wedge concatenates each part's operator
+followed by its leg, and a coequalizer chases each class's least member
+through the quotient and checks every other member against it, so an
+ill-defined induction raises instead of silently producing garbage.
 """
 from __future__ import annotations
 
@@ -415,15 +417,21 @@ def wedge_ssets(parts: Sequence[SimplicialSet]) -> SsetCocone:
     if any(p.trunc != trunc for p in parts):
         raise MismatchError("wedge: truncation mismatch")
     cones = [pointed.wedge([p.levels[k] for p in parts]) for k in range(trunc + 1)]
+    leg_tables = [[leg.table for leg in c.legs] for c in cones]
+
+    def induced(k: int, k_to: int, ops: Sequence[PointedMap]) -> PointedMap:
+        # the parts sit in order after the basepoint, so the induced table
+        # is each part's operator followed by its leg, concatenated
+        table = [0]
+        for legt, op in zip(leg_tables[k_to], ops):
+            table += map(legt.__getitem__, op.table[1:])
+        return PointedMap(cones[k].obj, cones[k_to].obj, tuple(table))
+
     obj = _assemble(
         trunc,
         [c.obj for c in cones],
-        lambda k, i: cones[k].factor([
-            compose(p.faces[k][i], cones[k - 1].legs[j]) for j, p in enumerate(parts)
-        ]),
-        lambda k, i: cones[k].factor([
-            compose(p.degens[k][i], cones[k + 1].legs[j]) for j, p in enumerate(parts)
-        ]),
+        lambda k, i: induced(k, k - 1, [p.faces[k][i] for p in parts]),
+        lambda k, i: induced(k, k + 1, [p.degens[k][i] for p in parts]),
     )
     legs = tuple(
         SimplicialMap(p, obj, tuple(cones[k].legs[j] for k in range(trunc + 1)))
@@ -441,17 +449,39 @@ def wedge_ssets(parts: Sequence[SimplicialSet]) -> SsetCocone:
     return SsetCocone(obj=obj, legs=legs, factor=factor)
 
 
+def _class_representatives(q: tuple[int, ...]) -> list[int]:
+    """Least member of each class of a canonical quotient table, whose
+    classes are numbered in order of their least members."""
+    reps: list[int] = []
+    for i, c in enumerate(q):
+        if c == len(reps):
+            reps.append(i)
+    return reps
+
+
 def coequalizer_ssets(f: SimplicialMap, g: SimplicialMap) -> SsetCocone:
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("coequalizer: not a parallel pair")
     trunc = f.dom.trunc
     y = f.cod
     cones = [pointed.coequalizer(f.components[k], g.components[k]) for k in range(trunc + 1)]
+    quot = [c.legs[0].table for c in cones]
+    reps = [_class_representatives(q) for q in quot]
+
+    def induced(k: int, k_to: int, op: PointedMap) -> PointedMap:
+        # chase each class's least member through op and the quotient,
+        # then check that every member of the class lands in the same place
+        image = list(map(quot[k_to].__getitem__, op.table))
+        table = tuple(map(image.__getitem__, reps[k]))
+        if image != list(map(table.__getitem__, quot[k])):
+            raise MismatchError("coequalizer: an operator does not respect the quotient")
+        return PointedMap(cones[k].obj, cones[k_to].obj, table)
+
     obj = _assemble(
         trunc,
         [c.obj for c in cones],
-        lambda k, i: cones[k].factor([compose(y.faces[k][i], cones[k - 1].legs[0])]),
-        lambda k, i: cones[k].factor([compose(y.degens[k][i], cones[k + 1].legs[0])]),
+        lambda k, i: induced(k, k - 1, y.faces[k][i]),
+        lambda k, i: induced(k, k + 1, y.degens[k][i]),
     )
     leg = SimplicialMap(y, obj, tuple(c.legs[0] for c in cones))
 

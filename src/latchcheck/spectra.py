@@ -29,9 +29,21 @@ decided here; only unit-oracle correctness is claimed.  Flatness is
 tested as plain injectivity of latching maps, which is the pointed
 simplicial set case; the equivariant-cofibration variant needed for a
 general ambient category is not implemented.
+
+Latching levels are shared by content.  Smashing over the sphere
+spectrum preserves colimits, so spectra with equal tables have equal
+latching levels.  spectral_latching therefore keeps, per content, one
+canonical live spectrum and computes each level once, on that spectrum;
+a content-equal copy reuses the canonical result and keeps it in its own
+_cache.  Sharing also needs equal labels, because witness text reads
+them while PointedSet equality ignores them.  The table of canonical
+spectra holds weak references only, so it keeps no spectrum or result
+alive.  Everything below the latching level (tensor, smash over S, unit
+oracle, realized permutations) stays memoized per object, in _cache.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -158,7 +170,10 @@ def spectrum_maps_equal(f: SpectrumMap, g: SpectrumMap) -> bool:
 def realize_perm(x: SymSpectrum, n: int, perm: Perm) -> SimplicialMap:
     """The action of perm on X(n), composed from the stored generators.
 
-    Memoized per level; the fill is idempotent so shared reuse is safe.
+    Memoized in x._cache; the fill is idempotent so shared reuse is safe.
+    The memo is per object: a content-equal copy of x that takes its
+    latching levels from the canonical spectrum (see spectral_latching)
+    never fills its own.
     """
     if len(perm) != n:
         raise ValueError("permutation degree must match the spectral level")
@@ -546,13 +561,15 @@ def _triple_relation_maps(a: SymSpectrum, b: SymSpectrum, n: int,
     for (p, q, r, delta), ss in zip(plan, ssets):
         # right action: collapse the (p, q) blocks
         gamma1, (xi, tau) = factor_by_blocks(delta, (p + q, r))
-        assert tau == identity_perm(r)
+        if tau != identity_perm(r):
+            raise AssertionError("right action: the shuffle moved the B block")
         tgt1 = t2.summands[t2.index_of[(p + q, r, gamma1)]]
         ra = right_action(a, p, q)
         act1 = realize_perm(a, p + q, xi)
         # left action: collapse the (q, r) blocks
         gamma2, (rho, eta) = factor_by_blocks(delta, (p, q + r))
-        assert rho == identity_perm(p)
+        if rho != identity_perm(p):
+            raise AssertionError("left action: the shuffle moved the A block")
         tgt2 = t2.summands[t2.index_of[(p, q + r, gamma2)]]
         la = iterated_sigma(b, q, r)
         act2 = realize_perm(b, q + r, eta)
@@ -600,7 +617,12 @@ def _triple_relation_maps(a: SymSpectrum, b: SymSpectrum, n: int,
 
 def smash_over_s(a: SymSpectrum, b: SymSpectrum, n: int,
                  cache_tag: str | None = None) -> SmashResult:
-    """Level n of the smash of two spectra over the sphere spectrum."""
+    """Level n of the smash of two spectra over the sphere spectrum.
+
+    With a cache_tag the result is memoized in b._cache, per object.
+    Content-equal copies of b share it only through spectral_latching,
+    which computes each level on one canonical spectrum per content.
+    """
     if cache_tag is not None:
         hit = b._cache.get(("smash", cache_tag, n))
         if hit is not None:
@@ -695,13 +717,54 @@ class LatchingResult:
     describe: Callable[[int, int], str] = field(compare=False)
 
 
+# Canonical live spectra per content, one per labelling.  The table is a
+# WeakKeyDictionary, which finds a key equal by content; its value maps
+# a labelling to a weak reference to the spectrum that carries it.  No
+# entry keeps a spectrum alive.
+_CANONICAL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _labels(x: SymSpectrum) -> tuple:
+    return tuple(tuple(p.labels for p in lvl.levels) for lvl in x.levels)
+
+
+def _canonical(x: SymSpectrum) -> SymSpectrum:
+    """The live spectrum, equal to x by content and labels, whose latching
+    levels x shares; x itself when it is the first of its kind."""
+    by_labels = _CANONICAL.setdefault(x, {})
+    labels = _labels(x)
+    ref = by_labels.get(labels)
+    canon = ref() if ref is not None else None
+    if canon is None:
+        by_labels[labels] = weakref.ref(x)
+        return x
+    return canon
+
+
 def spectral_latching(x: SymSpectrum, n: int) -> LatchingResult:
+    """Latching level n of x, computed once per content.
+
+    Memoized in x._cache.  On a miss the result is taken from the
+    canonical live spectrum equal to x by content and labels, and
+    computed there first if that spectrum lacks it (see the module
+    docstring).  Its nu lands in the canonical spectrum's level n, which
+    equals x's level n, labels included.
+    """
     if not 0 <= n <= x.strunc:
         raise TruncationError(f"latching level {n} out of range")
     key = ("latching", n)
     hit = x._cache.get(key)
-    if hit is not None:
-        return hit
+    if hit is None:
+        canon = _canonical(x)
+        hit = canon._cache.get(key)
+        if hit is None:
+            hit = _compute_latching(canon, n)
+            canon._cache[key] = hit
+        x._cache[key] = hit
+    return hit
+
+
+def _compute_latching(x: SymSpectrum, n: int) -> LatchingResult:
     d = x.dtrunc
     bar = bar_s(x.strunc, d)
     sm_bar = smash_over_s(bar, x, n, cache_tag="bar")
@@ -719,10 +782,8 @@ def spectral_latching(x: SymSpectrum, n: int) -> LatchingResult:
     to_smash = sm_bar.tensor.factor(legs)
     w = sm_bar.factor([to_smash])
     nu = compose_sset_maps(w, unit.back)
-    out = LatchingResult(n=n, obj=sm_bar.obj, gens=sm_bar.gens, nu=nu,
-                         smash=sm_bar, describe=sm_bar.describe)
-    x._cache[key] = out
-    return out
+    return LatchingResult(n=n, obj=sm_bar.obj, gens=sm_bar.gens, nu=nu,
+                          smash=sm_bar, describe=sm_bar.describe)
 
 
 def latching_map_of_spectrum_map(f: SpectrumMap, n: int) -> SimplicialMap:

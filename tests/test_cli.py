@@ -54,6 +54,48 @@ class TestValidate:
         assert {"k", "i", "j"} <= set(loc)
 
 
+def _tiny_sset_doc(name):
+    return {"kind": "sset", "name": name, "trunc": 1,
+            "levels": [{"size": 2, "labels": None}, {"size": 2, "labels": None}],
+            "faces": [[], [[0, 1], [0, 1]]], "degens": [[[0, 1]], []]}
+
+
+def _hostile_faces():
+    doc = _tiny_sset_doc("faces")
+    doc["faces"] = 5
+    return doc
+
+
+def _hostile_fraction():
+    doc = _tiny_sset_doc("fraction")
+    doc["degens"] = [[[0, 1.7]], []]
+    return doc
+
+
+class TestHostileDocuments:
+    """Malformed documents exit 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("doc, needle", [
+        (_hostile_faces(), "faces"),
+        (_hostile_fraction(), "integers"),
+        ({"kind": "pointed-set", "name": "labels", "size": 3, "labels": "abc"}, "labels"),
+        ({"kind": "pointed-set", "name": "size", "size": 1e9, "labels": None}, "size"),
+        ({"kind": "pointed-set", "name": "bool", "size": True, "labels": None}, "size"),
+    ], ids=["faces-not-a-list", "fractional-table-entry", "labels-string",
+            "float-size", "bool-size"])
+    def test_validate_rejects_with_input_error(self, tmp_path, doc, needle):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("validate", str(path), expect=2)
+        assert proc.stderr.startswith("error:") and needle in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_valid_tiny_document_still_passes(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(_tiny_sset_doc("tiny")))
+        run_cli("validate", str(path), expect=0)
+
+
 class TestCheck:
     def test_bar_flat_fails_with_witness_at_level_2(self):
         proc = run_cli("check", "--builtin", "bar-s", "flat", "--format", "json", expect=1)

@@ -1,7 +1,11 @@
 """Harness layer: generator postconditions, oracles, reproducibility."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,8 +60,11 @@ class TestSsetGenerator:
             assert validate_sset(s).passed
 
     def test_level_cap_is_respected_when_feasible(self):
+        # seed 3 draws level sizes [2, 2, 2, 2, 2], inside the cap; only when
+        # every draw busts the cap does gen_sset fall back to its smallest
+        # candidate, which may exceed it
         s = gen_sset(random.Random(3), 4, max_base=2, max_new=1, level_cap=5)
-        assert max(p.size for p in s.levels) <= 9  # cap or smallest candidate
+        assert max(p.size for p in s.levels) <= 5
 
     def test_degeneracy_union_oracle_agrees(self):
         for seed in range(60):
@@ -182,3 +189,24 @@ class TestPointedGenerators:
             a, b = gen_pointed(rng), gen_pointed(rng)
             m = gen_pointed_map(rng, a, b)
             assert m.dom == a and m.cod == b
+
+
+class TestPostconditionsUnderOptimize:
+    def test_failing_postcondition_raises_under_python_O(self):
+        # assert statements vanish under -O; the generators' re-checks must not
+        code = (
+            "import random, sys\n"
+            "import latchcheck.generators as g\n"
+            "from latchcheck.reports import failed\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "g.validate_sset = lambda s: failed('simplicial-identities', None, 'forced', 'forced failure')\n"
+            "g.gen_sset(random.Random(0), 2)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert "optimize 1" in proc.stdout
+        assert proc.returncode != 0
+        assert "AssertionError: forced failure" in proc.stderr

@@ -3,7 +3,15 @@ from __future__ import annotations
 
 import pytest
 
-from latchcheck.pointed import PointedMap, PointedSet, compose, is_iso, is_mono
+from latchcheck import pointed
+from latchcheck.pointed import (
+    MismatchError,
+    PointedMap,
+    PointedSet,
+    compose,
+    is_iso,
+    is_mono,
+)
 from latchcheck.simplicial import (
     BisimplicialSet,
     SimplicialMap,
@@ -32,6 +40,7 @@ from latchcheck.simplicial import (
     validate_sset_map,
     wedge_ssets,
 )
+from latchcheck.spectra import sphere_perm_map
 
 
 class TestValidate:
@@ -180,6 +189,42 @@ class TestColimits:
         assert is_iso_ssetmap(co.legs[0])
         med = co.factor([sset_zero_map(c, point_sset(3))])
         assert validate_sset_map(med).passed
+
+    def test_coequalizer_rejects_ill_defined_operator(self):
+        # f and g are not simplicial: they identify a with b in dimension 1
+        # only, so the face of the merged class has no single value
+        a_b = PointedSet(3, labels=("*", "a", "b"))
+        y = constant_sset(a_b, 1)
+        x = constant_sset(PointedSet(2), 1)
+        pick_a = PointedMap(x.levels[0], a_b, (0, 1))
+        pick_b = PointedMap(x.levels[0], a_b, (0, 2))
+        f = SimplicialMap(x, y, (pick_a, pick_a))
+        g = SimplicialMap(x, y, (pick_a, pick_b))
+        with pytest.raises(MismatchError):
+            coequalizer_ssets(f, g)
+
+    def test_direct_operator_tables_match_universal_property(self):
+        # the induced operators equal the factorizations they replace
+        parts = [circle(3), sphere(2, 3), point_sset(3), circle(3)]
+        w = wedge_ssets(parts)
+        for k in range(1, 4):
+            for i in range(k + 1):
+                cone = pointed.wedge([p.levels[k] for p in parts])
+                lo = pointed.wedge([p.levels[k - 1] for p in parts])
+                expect = cone.factor([compose(p.faces[k][i], lo.legs[j])
+                                      for j, p in enumerate(parts)])
+                assert w.obj.faces[k][i] == expect
+        s = sphere(2, 3)
+        ident, swap = sset_identity(s), sphere_perm_map(2, 3, (1, 0))
+        co = coequalizer_ssets(ident, swap)
+        quot = [pointed.coequalizer(ident.components[k], swap.components[k]) for k in range(4)]
+        for k in range(3):
+            for i in range(k + 1):
+                expect = quot[k].factor([compose(s.degens[k][i], quot[k + 1].legs[0])])
+                assert co.obj.degens[k][i] == expect
+                expect = quot[k + 1].factor([compose(s.faces[k + 1][i], quot[k].legs[0])])
+                assert co.obj.faces[k + 1][i] == expect
+        assert validate_sset(co.obj).passed
 
     def test_pushout_validates(self):
         pt = point_sset(3)

@@ -2,10 +2,14 @@
 latching levels and the four cofibration classifiers."""
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import permutations
 
 import pytest
 
+from latchcheck import spectra
+from latchcheck.documents import dumps, loads
 from latchcheck.perms import compose_perm, identity_perm
 from latchcheck.pointed import PointedSet, is_iso
 from latchcheck.simplicial import (
@@ -22,6 +26,7 @@ from latchcheck.simplicial import (
 from latchcheck.spectra import (
     COFIBRATION_TESTS,
     SpectrumMap,
+    SymSpectrum,
     bar_s,
     bar_to_sphere,
     cofibrant_report,
@@ -355,3 +360,128 @@ class TestColimitsOfSpectra:
         f = bar_to_sphere(2, 3)
         g = smash_spectrum_map_sset(f, two_cell_sset(3))
         assert validate_spectrum_map(g).passed
+
+
+def relabelled_copy(x, tag):
+    """A separately built spectrum with x's tables and labels tag1, tag2..."""
+    doc = loads(dumps(x))
+    levels = []
+    for lvl in doc.levels:
+        parts = [PointedSet(p.size, ("*",) + tuple(f"{tag}{i}" for i in range(1, p.size)))
+                 for p in lvl.levels]
+        levels.append(type(lvl)(lvl.trunc, tuple(parts), lvl.faces, lvl.degens))
+    return SymSpectrum(doc.strunc, doc.dtrunc, tuple(levels), doc.gens, doc.sigmas)
+
+
+class TestLatchingSharedByContent:
+    def test_equal_copies_compute_each_level_once(self, monkeypatch):
+        base = smash_spectrum_sset(sphere_spectrum(2, 2), two_cell_sset(2))
+        a = relabelled_copy(base, "shared")
+        b = relabelled_copy(base, "shared")
+        assert a == b and a is not b
+        calls = []
+        real = spectra.day_tensor
+
+        def counting(left, right, n):
+            calls.append((left, right, n))
+            return real(left, right, n)
+
+        monkeypatch.setattr(spectra, "day_tensor", counting)
+        for n in range(3):
+            assert spectral_latching(a, n) is spectral_latching(b, n)
+        # one tensor with the truncated sphere and one with the sphere per level,
+        # all of them on the first copy
+        assert all(right is a for _, right, _ in calls)
+        assert sorted((left is bar_s(2, 2), n) for left, _, n in calls) == \
+            sorted((is_bar, n) for n in range(3) for is_bar in (False, True))
+
+    def test_copies_differing_in_labels_keep_their_own_text(self):
+        base = smash_spectrum_sset(sphere_spectrum(2, 2), two_cell_sset(2))
+        a = relabelled_copy(base, "alpha")
+        b = relabelled_copy(base, "beta")
+        assert a == b
+        for n in range(3):
+            la, lb = spectral_latching(a, n), spectral_latching(b, n)
+            assert la is not lb
+            assert la.nu.cod.levels == lb.nu.cod.levels
+            for k in range(3):
+                assert la.nu.cod.levels[k].labels == a.levels[n].levels[k].labels
+                assert lb.nu.cod.levels[k].labels == b.levels[n].levels[k].labels
+                texts = [la.describe(k, i) for i in range(la.obj.levels[k].size)]
+                assert [t.replace("alpha", "beta") for t in texts] == \
+                    [lb.describe(k, i) for i in range(lb.obj.levels[k].size)]
+        assert any("alpha" in la.describe(k, i) for k in range(3)
+                   for i in range(la.obj.levels[k].size))
+
+    @pytest.mark.parametrize("suite", ["4.2", "1.4"])
+    def test_shared_levels_match_direct_computation(self, suite, monkeypatch):
+        from latchcheck.suites import run_suite
+
+        seen = []
+        computed_on = []
+        real_latching, real_compute = spectra.spectral_latching, spectra._compute_latching
+
+        def recording(x, n):
+            out = real_latching(x, n)
+            seen.append((x, n, out))
+            return out
+
+        def computing(x, n):
+            computed_on.append(id(x))
+            return real_compute(x, n)
+
+        monkeypatch.setattr(spectra, "spectral_latching", recording)
+        monkeypatch.setattr(spectra, "_compute_latching", computing)
+        summary = run_suite(suite, seed=1, cases=2, strategy="adversarial")
+        assert summary.passed
+        monkeypatch.undo()
+        # some levels were shared between distinct objects
+        assert len({(id(x), n) for x, n, _ in seen}) > len(computed_on)
+        direct: dict = {}
+        for x, n, out in seen:
+            key = (x, n)
+            if key not in direct:
+                # a fresh copy with an empty memo, outside the shared table
+                fresh = SymSpectrum(x.strunc, x.dtrunc, x.levels, x.gens, x.sigmas)
+                direct[key] = real_compute(fresh, n)
+            ref = direct[key]
+            assert out.nu == ref.nu and out.gens == ref.gens
+            for k in range(x.dtrunc + 1):
+                assert out.nu.cod.levels[k].labels == x.levels[n].levels[k].labels
+
+    def test_concurrent_copies_agree(self):
+        # threads racing on the shared table may each compute a level, but
+        # every copy must end with the same tables
+        import sys
+        import threading
+
+        base = smash_spectrum_sset(sphere_spectrum(2, 2), two_cell_sset(2))
+        copies = [relabelled_copy(base, "race") for _ in range(8)]
+        results = {}
+
+        def worker(i):
+            results[i] = tuple(spectral_latching(copies[i], n).nu for n in range(3))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and len(set(results.values())) == 1
+
+    def test_shared_table_keeps_nothing_alive(self):
+        base = smash_spectrum_sset(sphere_spectrum(2, 2), two_cell_sset(2))
+        a = relabelled_copy(base, "transient")
+        b = relabelled_copy(base, "transient")
+        results = [spectral_latching(a, n) for n in range(3)]
+        assert spectral_latching(b, 2) is results[2]
+        refs = [weakref.ref(a), weakref.ref(b)] + [weakref.ref(r) for r in results]
+        del a, b, results
+        gc.collect()
+        assert all(r() is None for r in refs)
