@@ -16,7 +16,7 @@ from typing import Any
 from . import documents
 from .builtins_corpus import BUILTIN_NAMES, builtin
 from .documents import DocumentError, canonical_json, load_path, to_document
-from .pointed import PointedMap, PointedSet, epi_missed
+from .pointed import MismatchError, PointedMap, PointedSet, epi_missed
 from .reedy import (
     SetsAmbient,
     SimplicialSpectrum,
@@ -117,6 +117,24 @@ def _deep_validate(obj: Any) -> CheckReport:
                 return rep
         return validate_simplicial_spectrum_map(obj)
     raise DocumentError(f"cannot validate objects of type {type(obj).__name__}")
+
+
+def _input_is_malformed(args) -> bool:
+    """Called when a command raised MismatchError.
+
+    A document is only checked for its structure on load, so one that
+    breaks the axioms of its kind can make a colimit fail to factor.
+    Deep validation runs on this failure path only: if the document
+    fails it, the reason is printed and the input is malformed.  A
+    mismatch on a builtin or a valid document is an internal fault.
+    """
+    if getattr(args, "builtin", None) or not getattr(args, "file", None):
+        return False
+    rep = _deep_validate(load_path(args.file))
+    if rep.passed:
+        return False
+    print(f"error: the document is not a valid {rep.prop}: {rep.detail}", file=sys.stderr)
+    return True
 
 
 def _run_check(obj: Any, prop: str) -> CheckReport:
@@ -435,6 +453,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MismatchError:
+        if not _input_is_malformed(args):
+            raise
         return EXIT_INPUT
 
 

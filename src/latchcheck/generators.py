@@ -684,25 +684,6 @@ def _gen_good_by_rejection(rng: random.Random, cfg: GenConfig,
         f"no good case within {max_tries} tries (discarded {discards})")
 
 
-_ADVERSARIAL_PERIOD = 7
-
-
-def gen_candidate_simplicial_spectrum(rng: random.Random, cfg: GenConfig,
-                                      case: int,
-                                      pool: Sequence[SimplicialSet] | None = None
-                                      ) -> SimplicialSpectrum:
-    """Candidate stream for suites: structured-good cases, except that
-    the adversarial strategy periodically splices in a non-good constant
-    built on the flat-cofibrancy counterexample spectrum."""
-    if cfg.strategy == "adversarial" and case % _ADVERSARIAL_PERIOD == 0:
-        from .spectra import bar_s
-
-        a = (pool or _coefficient_pool(cfg.seed, cfg.dtrunc))[0]
-        bad = smash_spectrum_sset(bar_s(cfg.strunc, cfg.dtrunc), a)
-        return constant_simplicial_spectrum(bad, cfg.ktrunc)
-    return gen_good_simplicial_spectrum(rng, cfg, pool=pool)
-
-
 # ---------------------------------------------------------------------------
 # theorem-hypothesis instances
 

@@ -42,13 +42,6 @@ def block_sum(p: Perm, q: Perm) -> Perm:
     return p + tuple(a + v for v in q)
 
 
-def block_sum_many(parts: Sequence[Perm]) -> Perm:
-    out: Perm = ()
-    for p in parts:
-        out = block_sum(out, p)
-    return out
-
-
 def chi(a: int, b: int) -> Perm:
     """Block transposition in S_{a+b}: letters < a move up by b."""
     return tuple(i + b for i in range(a)) + tuple(range(b))

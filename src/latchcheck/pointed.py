@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .reports import Witness
-
 
 class MismatchError(ValueError):
     """Domain/codomain (or truncation) mismatch between composed pieces."""
@@ -143,18 +141,6 @@ def invert(f: PointedMap) -> PointedMap:
     for i, v in enumerate(f.table):
         table[v] = i
     return PointedMap(f.cod, f.dom, tuple(table))
-
-
-def mono_pair_witness(f: PointedMap, location: tuple[tuple[str, int], ...],
-                      describe: Callable[[int], str] | None = None) -> Witness | None:
-    pair = mono_witness(f)
-    if pair is None:
-        return None
-    if describe is None:
-        prov = f"elements {f.dom.label(pair[0])} and {f.dom.label(pair[1])} share image {f.cod.label(f.table[pair[0]])}"
-    else:
-        prov = f"{describe(pair[0])} and {describe(pair[1])} share image index {f.table[pair[0]]}"
-    return Witness(location=location, pair=pair, provenance=prov)
 
 
 @dataclass(frozen=True)

@@ -67,17 +67,6 @@ class SimplicialSet:
                 if m.dom != self.levels[k] or m.cod != self.levels[k + 1]:
                     raise ValueError(f"degeneracy at level {k} has wrong endpoints")
 
-    def level(self, k: int) -> PointedSet:
-        if not 0 <= k <= self.trunc:
-            raise TruncationError(f"dimension {k} exceeds truncation {self.trunc}")
-        return self.levels[k]
-
-    def face(self, k: int, i: int) -> PointedMap:
-        return self.faces[k][i]
-
-    def degen(self, k: int, i: int) -> PointedMap:
-        return self.degens[k][i]
-
 
 @dataclass(frozen=True)
 class SimplicialMap:
@@ -93,9 +82,6 @@ class SimplicialMap:
         for k, m in enumerate(self.components):
             if m.dom != self.dom.levels[k] or m.cod != self.cod.levels[k]:
                 raise MismatchError(f"component {k} has wrong endpoints")
-
-    def at(self, k: int) -> PointedMap:
-        return self.components[k]
 
 
 def sset_identity(a: SimplicialSet) -> SimplicialMap:
@@ -570,9 +556,6 @@ class BisimplicialSet:
         for r in self.rows:
             if r.trunc != self.vtrunc:
                 raise ValueError("all rows must share the vertical truncation")
-
-    def at(self, k: int, ell: int) -> PointedSet:
-        return self.rows[k].levels[ell]
 
 
 def validate_bisimplicial(b: BisimplicialSet) -> CheckReport:

@@ -22,8 +22,13 @@ oracle rather than by matching any particular sign convention):
   from (A ⊗ S ⊗ B)(n) into (A ⊗ B)(n).
 
 The spectral latching object of X at level n is the smash of the
-truncated sphere spectrum (point at level 0) with X, taken at level n;
-its comparison map into X(n) factors through the unit isomorphism.
+truncated sphere spectrum (point at level 0) with X, taken at level n.
+Its comparison map nu into X(n) is induced on the coequalizer by the
+action of the truncated sphere on X: zero on the summands with a point
+factor, the iterated structure map then the shuffle on the others.
+Since S is the unit of the smash over S, this is the map through the
+unit isomorphism, which is never built on this path; the unit oracle
+certifies the convention on its own, and a test compares both routes.
 Whether these conventions coincide with any published ones is not
 decided here; only unit-oracle correctness is claimed.  Flatness is
 tested as plain injectivity of latching maps, which is the pointed
@@ -38,8 +43,9 @@ a content-equal copy reuses the canonical result and keeps it in its own
 _cache.  Sharing also needs equal labels, because witness text reads
 them while PointedSet equality ignores them.  The table of canonical
 spectra holds weak references only, so it keeps no spectrum or result
-alive.  Everything below the latching level (tensor, smash over S, unit
-oracle, realized permutations) stays memoized per object, in _cache.
+alive.  Below the latching level, the iterated structure maps, realized
+permutations and unit oracle stay memoized per object, in _cache; the
+smash over S is not memoized, as each of its callers keeps its result.
 """
 from __future__ import annotations
 
@@ -118,11 +124,6 @@ class SymSpectrum:
             if s.dom != smash_ssets(circle(d), self.levels[m]) or s.cod != self.levels[m + 1]:
                 raise ValueError(f"structure map at level {m} has wrong endpoints")
 
-    def level(self, m: int) -> SimplicialSet:
-        if not 0 <= m <= self.strunc:
-            raise TruncationError(f"spectral level {m} exceeds truncation {self.strunc}")
-        return self.levels[m]
-
 
 @dataclass(frozen=True)
 class SpectrumMap:
@@ -138,9 +139,6 @@ class SpectrumMap:
         for m, f in enumerate(self.components):
             if f.dom != self.dom.levels[m] or f.cod != self.cod.levels[m]:
                 raise MismatchError(f"component {m} has wrong endpoints")
-
-    def at(self, m: int) -> SimplicialMap:
-        return self.components[m]
 
 
 def spectrum_identity(x: SymSpectrum) -> SpectrumMap:
@@ -615,18 +613,12 @@ def _triple_relation_maps(a: SymSpectrum, b: SymSpectrum, n: int,
     return w3.factor(legs1), w3.factor(legs2)
 
 
-def smash_over_s(a: SymSpectrum, b: SymSpectrum, n: int,
-                 cache_tag: str | None = None) -> SmashResult:
+def smash_over_s(a: SymSpectrum, b: SymSpectrum, n: int) -> SmashResult:
     """Level n of the smash of two spectra over the sphere spectrum.
 
-    With a cache_tag the result is memoized in b._cache, per object.
-    Content-equal copies of b share it only through spectral_latching,
-    which computes each level on one canonical spectrum per content.
+    Not memoized: its two callers, unit_oracle and the latching
+    computation, each keep their own result in b._cache.
     """
-    if cache_tag is not None:
-        hit = b._cache.get(("smash", cache_tag, n))
-        if hit is not None:
-            return hit
     t2 = day_tensor(a, b, n)
     u1, u2 = _triple_relation_maps(a, b, n, t2)
     co = coequalizer_ssets(u1, u2)
@@ -643,11 +635,8 @@ def smash_over_s(a: SymSpectrum, b: SymSpectrum, n: int,
     def describe(k: int, idx: int) -> str:
         return f"[{t2.describe(k, members[k][idx])}]"
 
-    out = SmashResult(n=n, obj=co.obj, tensor=t2, quotient=q, gens=gens,
-                      factor=co.factor, describe=describe)
-    if cache_tag is not None:
-        b._cache[("smash", cache_tag, n)] = out
-    return out
+    return SmashResult(n=n, obj=co.obj, tensor=t2, quotient=q, gens=gens,
+                       factor=co.factor, describe=describe)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +667,7 @@ def unit_oracle(x: SymSpectrum, n: int) -> UnitIso:
         return hit
     prop = "unit-isomorphism"
     s = sphere_spectrum(x.strunc, x.dtrunc)
-    sm = smash_over_s(s, x, n, cache_tag="S")
+    sm = smash_over_s(s, x, n)
     legs = []
     for summand in sm.tensor.summands:
         lam = iterated_sigma(x, summand.p, summand.q)
@@ -765,23 +754,19 @@ def spectral_latching(x: SymSpectrum, n: int) -> LatchingResult:
 
 
 def _compute_latching(x: SymSpectrum, n: int) -> LatchingResult:
-    d = x.dtrunc
-    bar = bar_s(x.strunc, d)
-    sm_bar = smash_over_s(bar, x, n, cache_tag="bar")
-    unit = unit_oracle(x, n)
-    if not unit.report.passed:
-        raise AssertionError(unit.report.detail)
-    sm_s = smash_over_s(sphere_spectrum(x.strunc, d), x, n, cache_tag="S")
-    incl = bar_to_sphere(x.strunc, d)
+    """nu is induced on the coequalizer by the action of the truncated
+    sphere: zero on the p = 0 summands, lam^p then the shuffle for p > 0."""
+    sm_bar = smash_over_s(bar_s(x.strunc, x.dtrunc), x, n)
     legs = []
     for summand in sm_bar.tensor.summands:
-        tgt = sm_s.tensor.summands[sm_s.tensor.index_of[(summand.p, summand.q, summand.gamma)]]
-        local = smash_sset_maps(incl.components[summand.p], sset_identity(x.levels[summand.q]))
-        legs.append(compose_sset_maps(compose_sset_maps(
-            SimplicialMap(summand.sset, local.cod, local.components), tgt.leg), sm_s.quotient))
-    to_smash = sm_bar.tensor.factor(legs)
-    w = sm_bar.factor([to_smash])
-    nu = compose_sset_maps(w, unit.back)
+        if summand.p == 0:
+            legs.append(sset_zero_map(summand.sset, x.levels[n]))
+            continue
+        lam = iterated_sigma(x, summand.p, summand.q)
+        legs.append(compose_sset_maps(SimplicialMap(summand.sset, lam.cod, lam.components),
+                                      realize_perm(x, n, summand.gamma)))
+    # raises MismatchError if the legs do not coequalize the relations
+    nu = sm_bar.factor([sm_bar.tensor.factor(legs)])
     return LatchingResult(n=n, obj=sm_bar.obj, gens=sm_bar.gens, nu=nu,
                           smash=sm_bar, describe=sm_bar.describe)
 

@@ -70,6 +70,9 @@ _THEOREM_ID = {
 }
 
 _DISCARD_CEILING = 0.95
+# under the adversarial strategy, every attempt divisible by this period
+# is a hypothesis-violating case
+_ADVERSARIAL_PERIOD = 7
 
 
 @dataclass
@@ -213,7 +216,7 @@ def run_theorem_suite(suite: str, seed: int, cases: int,
             summary.notes.append(f"starved after {attempt} attempts")
             break
         rng = cfg.rng(attempt)
-        adversarial = cfg.strategy == "adversarial" and attempt % 7 == 0
+        adversarial = cfg.strategy == "adversarial" and attempt % _ADVERSARIAL_PERIOD == 0
         try:
             if adversarial:
                 inst = _adversarial_instance(cfg, attempt, theorem)

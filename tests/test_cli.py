@@ -95,6 +95,41 @@ class TestHostileDocuments:
         path.write_text(json.dumps(_tiny_sset_doc("tiny")))
         run_cli("validate", str(path), expect=0)
 
+    @pytest.mark.parametrize("argv", [
+        ("latch", "--spectral", "2"),
+        ("check", "flat"),
+        ("check", "positive-flat"),
+    ], ids=["latch", "check-flat", "check-positive-flat"])
+    def test_spectrum_breaking_its_axioms_is_input_error(self, tmp_path, argv):
+        # well-formed tables, but the level-2 action is the identity, so the
+        # structure maps are not equivariant and latching cannot factor
+        path = tmp_path / "trivial-action.json"
+        path.write_text(canonical_json(_trivial_level2_action_doc()))
+        run_cli("validate", str(path), expect=1)
+        proc = run_cli(argv[0], str(path), *argv[1:], expect=2)
+        assert proc.stderr.startswith("error:") and "equivariance" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_mismatch_on_valid_input_is_not_blamed_on_the_input(self, tmp_path, monkeypatch):
+        import latchcheck.cli as cli
+        from latchcheck.pointed import MismatchError
+
+        def broken(x, n):
+            raise MismatchError("internal fault")
+
+        monkeypatch.setattr(cli, "spectral_latching", broken)
+        path = tmp_path / "sphere.json"
+        path.write_text(canonical_json(to_document(sphere_spectrum(2, 2), name="sphere")))
+        for target in ((str(path),), ("--builtin", "sphere")):
+            with pytest.raises(MismatchError):
+                main(["latch", *target, "--spectral", "2"])
+
+
+def _trivial_level2_action_doc():
+    doc = to_document(sphere_spectrum(2, 2), name="trivial-action")
+    doc["actions"][2] = [[list(range(len(t))) for t in g] for g in doc["actions"][2]]
+    return doc
+
 
 class TestCheck:
     def test_bar_flat_fails_with_witness_at_level_2(self):

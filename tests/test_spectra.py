@@ -13,12 +13,14 @@ from latchcheck.documents import dumps, loads
 from latchcheck.perms import compose_perm, identity_perm
 from latchcheck.pointed import PointedSet, is_iso
 from latchcheck.simplicial import (
+    SimplicialMap,
     circle,
     compose_sset_maps,
     constant_sset,
     is_iso_ssetmap,
     is_mono_ssetmap,
     point_sset,
+    smash_sset_maps,
     sphere,
     sset_identity,
     validate_sset,
@@ -389,11 +391,9 @@ class TestLatchingSharedByContent:
         monkeypatch.setattr(spectra, "day_tensor", counting)
         for n in range(3):
             assert spectral_latching(a, n) is spectral_latching(b, n)
-        # one tensor with the truncated sphere and one with the sphere per level,
-        # all of them on the first copy
-        assert all(right is a for _, right, _ in calls)
-        assert sorted((left is bar_s(2, 2), n) for left, _, n in calls) == \
-            sorted((is_bar, n) for n in range(3) for is_bar in (False, True))
+        # one tensor per level, with the truncated sphere, on the first copy
+        assert all(left is bar_s(2, 2) and right is a for left, right, _ in calls)
+        assert sorted(n for _, _, n in calls) == [0, 1, 2]
 
     def test_copies_differing_in_labels_keep_their_own_text(self):
         base = smash_spectrum_sset(sphere_spectrum(2, 2), two_cell_sset(2))
@@ -485,3 +485,88 @@ class TestLatchingSharedByContent:
         del a, b, results
         gc.collect()
         assert all(r() is None for r in refs)
+
+
+def unit_iso_latching(x, n):
+    """Latching level n by the unit-isomorphism route: the map from the
+    truncated sphere's smash into S ∧_S X induced by bar_to_sphere, then
+    the inverse of the certified unit isomorphism."""
+    sm_bar = smash_over_s(bar_s(x.strunc, x.dtrunc), x, n)
+    sm_s = smash_over_s(sphere_spectrum(x.strunc, x.dtrunc), x, n)
+    unit = unit_oracle(x, n)
+    assert unit.report.passed
+    incl = bar_to_sphere(x.strunc, x.dtrunc)
+    legs = []
+    for summand in sm_bar.tensor.summands:
+        tgt = sm_s.tensor.summands[sm_s.tensor.index_of[(summand.p, summand.q, summand.gamma)]]
+        local = smash_sset_maps(incl.components[summand.p], sset_identity(x.levels[summand.q]))
+        legs.append(compose_sset_maps(compose_sset_maps(
+            SimplicialMap(summand.sset, local.cod, local.components), tgt.leg), sm_s.quotient))
+    w = sm_bar.factor([sm_bar.tensor.factor(legs)])
+    return sm_bar, compose_sset_maps(w, unit.back)
+
+
+class TestLatchingAgainstUnitIso:
+    @pytest.mark.parametrize("suite", ["4.2", "1.4", "3.2"])
+    def test_action_induced_nu_matches_unit_iso_route(self, suite, monkeypatch):
+        from latchcheck.suites import run_suite
+
+        # every level the suite reads, computed now or shared from a memo
+        seen = {}
+        real_latching = spectra.spectral_latching
+
+        def recording(x, n):
+            out = real_latching(x, n)
+            seen.setdefault((x, spectra._labels(x), n), (x, n, out))
+            return out
+
+        monkeypatch.setattr(spectra, "spectral_latching", recording)
+        assert run_suite(suite, seed=1, cases=2, strategy="adversarial").passed
+        monkeypatch.undo()
+        assert seen
+        for x, n, out in seen.values():
+            # a fresh copy, so the oracle builds everything from the tables
+            fresh = SymSpectrum(x.strunc, x.dtrunc, x.levels, x.gens, x.sigmas)
+            sm_bar, nu = unit_iso_latching(fresh, n)
+            assert out.nu.dom == nu.dom and out.nu.cod == nu.cod
+            assert out.nu.components == nu.components
+            for k in range(x.dtrunc + 1):
+                assert out.nu.cod.levels[k].labels == nu.cod.levels[k].labels
+                assert [out.describe(k, i) for i in range(out.obj.levels[k].size)] == \
+                    [sm_bar.describe(k, i) for i in range(sm_bar.obj.levels[k].size)]
+
+
+_HOT_PATH_PROBE = """
+import json
+from latchcheck import spectra
+from latchcheck.suites import run_suite
+
+oracle_calls, left_factors = [], []
+real_oracle, real_smash = spectra.unit_oracle, spectra.smash_over_s
+
+def oracle(x, n):
+    oracle_calls.append(n)
+    return real_oracle(x, n)
+
+def smash(a, b, n):
+    left_factors.append(a is spectra.bar_s(a.strunc, a.dtrunc))
+    return real_smash(a, b, n)
+
+spectra.unit_oracle, spectra.smash_over_s = oracle, smash
+run_suite("4.2", 1, cases=1, strategy="adversarial")
+print(json.dumps({"oracle": len(oracle_calls), "left_is_bar": left_factors}))
+"""
+
+
+class TestLatchingHotPath:
+    def test_suite_never_runs_the_unit_oracle(self):
+        # a fresh interpreter, so no memo filled by other tests hides the calls
+        import json
+        import subprocess
+        import sys
+
+        proc = subprocess.run([sys.executable, "-c", _HOT_PATH_PROBE],
+                              capture_output=True, text=True, check=True)
+        counts = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert counts["oracle"] == 0
+        assert counts["left_is_bar"] and all(counts["left_is_bar"])
