@@ -13,10 +13,9 @@ import os
 import sys
 from typing import Any
 
-from . import documents
 from .builtins_corpus import BUILTIN_NAMES, builtin
 from .documents import DocumentError, canonical_json, load_path, to_document
-from .pointed import MismatchError, PointedMap, PointedSet, epi_missed
+from .pointed import PointedMap, PointedSet, epi_missed
 from .reedy import (
     SetsAmbient,
     SimplicialSpectrum,
@@ -55,7 +54,7 @@ from .spectra import (
     validate_spectrum,
     validate_spectrum_map,
 )
-from .suites import DEFAULT_CASES, SUITE_ALIASES, run_suite
+from .suites import SUITE_ALIASES, run_suite
 
 CHECK_PROPERTIES = (
     "levelwise", "positive-levelwise", "flat", "positive-flat",
@@ -119,22 +118,20 @@ def _deep_validate(obj: Any) -> CheckReport:
     raise DocumentError(f"cannot validate objects of type {type(obj).__name__}")
 
 
-def _input_is_malformed(args) -> bool:
-    """Called when a command raised MismatchError.
+def _load_valid(args) -> tuple[Any, str]:
+    """Load the target of a computing command.
 
-    A document is only checked for its structure on load, so one that
-    breaks the axioms of its kind can make a colimit fail to factor.
-    Deep validation runs on this failure path only: if the document
-    fails it, the reason is printed and the input is malformed.  A
-    mismatch on a builtin or a valid document is an internal fault.
+    Parsing checks only a document's structure, so a document file is
+    deep-validated before anything is computed from it: one that breaks
+    the axioms of its kind is malformed input.  Builtins are valid by
+    construction.
     """
-    if getattr(args, "builtin", None) or not getattr(args, "file", None):
-        return False
-    rep = _deep_validate(load_path(args.file))
-    if rep.passed:
-        return False
-    print(f"error: the document is not a valid {rep.prop}: {rep.detail}", file=sys.stderr)
-    return True
+    obj, desc = _load_target(args)
+    if not args.builtin:
+        rep = _deep_validate(obj)
+        if not rep.passed:
+            raise DocumentError(f"the document is not a valid {rep.prop}: {rep.detail}")
+    return obj, desc
 
 
 def _run_check(obj: Any, prop: str) -> CheckReport:
@@ -259,7 +256,7 @@ def cmd_check(args) -> int:
         print(f"error: unknown property {args.property!r}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        obj, desc = _load_target(args)
+        obj, desc = _load_valid(args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -309,7 +306,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def cmd_latch(args) -> int:
     try:
-        obj, desc = _load_target(args)
+        obj, desc = _load_valid(args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -337,7 +334,7 @@ def cmd_latch(args) -> int:
 
 def cmd_realize(args) -> int:
     try:
-        obj, desc = _load_target(args)
+        obj, desc = _load_valid(args)
         if isinstance(obj, SimplicialSpectrum):
             doc = to_document(realize(obj), name="realization")
         elif isinstance(obj, SimplicialSpectrumMap):
@@ -353,7 +350,7 @@ def cmd_realize(args) -> int:
 
 def cmd_cofiber(args) -> int:
     try:
-        obj, desc = _load_target(args)
+        obj, desc = _load_valid(args)
         if not isinstance(obj, SimplicialSpectrumMap):
             raise DocumentError("cofiber needs a simplicial-spectrum-map document")
         z, proj = pointwise_cofiber(obj)
@@ -453,10 +450,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MismatchError:
-        if not _input_is_malformed(args):
-            raise
         return EXIT_INPUT
 
 

@@ -14,7 +14,7 @@ from typing import Any
 
 from .pointed import PointedMap, PointedSet
 from .reedy import SimplicialSpectrum, SimplicialSpectrumMap
-from .simplicial import BisimplicialSet, SimplicialMap, SimplicialSet, circle, smash_ssets
+from .simplicial import SimplicialMap, SimplicialSet, circle, smash_ssets
 from .spectra import SpectrumMap, SymSpectrum
 
 KINDS = (
@@ -217,6 +217,9 @@ def _parse_spectrum(data: Any, defs: dict, ctx: str) -> SymSpectrum:
     dtrunc = _int(_need(trunc, "D", ctx), ctx, "D")
     levels = tuple(_parse_sset(l, defs, f"{ctx}.levels[{n}]")
                    for n, l in enumerate(_list(_need(data, "levels", ctx), ctx, "levels")))
+    # checked before any sigma is parsed: each sigma's domain needs circle(D)
+    if not levels or any(l.trunc != dtrunc for l in levels):
+        raise DocumentError(f"{ctx}: every level must have the truncation D={dtrunc}")
     raw_actions = _rows(_need(data, "actions", ctx), ctx, "actions")
     raw_sigma = _list(_need(data, "sigma", ctx), ctx, "sigma")
     try:

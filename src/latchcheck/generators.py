@@ -28,12 +28,12 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import pointed
-from .pointed import PointedMap, PointedSet, compose, identity, zero_map
-from .reports import CheckReport
+from .pointed import PointedMap, PointedSet, compose, identity
 from .simplicial import (
     BisimplicialSet,
     SimplicialMap,
     SimplicialSet,
+    _assemble,
     circle,
     constant_bisimplicial,
     constant_sset,
@@ -61,9 +61,8 @@ from .reedy import (
     wedge_simplicial_spectra,
 )
 from .spectra import (
-    SpectrumMap,
     SymSpectrum,
-    cofibrant_report,
+    _induced_sigma,
     is_flat_cofibration,
     is_positive_flat,
     smash_spectrum_sset,
@@ -242,81 +241,87 @@ def _smash_bisimplicial(b: BisimplicialSet, z: SimplicialSet) -> BisimplicialSet
     return BisimplicialSet(b.htrunc, b.vtrunc, rows, tuple(hfaces), tuple(hdegens))
 
 
+def _congruence(rng: random.Random, grid: Sequence[Sequence[PointedSet]], n_seeds: int,
+                images: Callable[[int, int], list]) -> list[list[PointedMap]]:
+    """Quotient maps of the least congruence on a grid of pointed sets
+    that relates n_seeds random pairs and is closed under the grid's
+    operators.
+
+    grid[a][l] is the pointed set in cell (a, l); images(a, l) lists
+    ((a', l'), table) for every operator out of that cell.  Seeds draw a
+    cell, then two of its elements.  The result holds the canonical
+    quotient map of every cell, indexed like the grid.
+    """
+    uf = {(a, l): pointed._UnionFind(p.size) for a, row in enumerate(grid) for l, p in enumerate(row)}
+    ops = {key: images(*key) for key in uf}
+    work = []
+    for _ in range(n_seeds):
+        a = rng.randint(0, len(grid) - 1)
+        l = rng.randint(0, len(grid[a]) - 1)
+        size = grid[a][l].size
+        if size < 2:
+            continue
+        work.append((a, l, rng.randrange(size), rng.randrange(size)))
+    while work:
+        a, l, x, y = work.pop()
+        u = uf[(a, l)]
+        if u.find(x) == u.find(y):
+            continue
+        u.union(x, y)
+        for (a2, l2), table in ops[(a, l)]:
+            work.append((a2, l2, table[x], table[y]))
+    return [
+        [pointed.quotient_by_pairs(p, [(i, uf[(a, l)].find(i)) for i in range(p.size)])
+         for l, p in enumerate(row)]
+        for a, row in enumerate(grid)
+    ]
+
+
+def _sset_images(s: SimplicialSet, a: int, l: int) -> list:
+    """Faces and degeneracies out of dimension l of s, which sits in row
+    a of a congruence grid."""
+    return ([((a, l - 1), m.table) for m in s.faces[l]]
+            + [((a, l + 1), m.table) for m in s.degens[l]])
+
+
+def _induce(qf: PointedMap, qt: PointedMap, m: PointedMap) -> PointedMap:
+    """The map that m, from qf.dom to qt.dom, induces between the
+    quotients qf.cod and qt.cod; the congruence makes it well defined."""
+    table = [0] * qf.cod.size
+    for i in range(qf.dom.size):
+        table[qf.table[i]] = qt.table[m.table[i]]
+    return PointedMap(qf.cod, qt.cod, tuple(table))
+
+
+def _quotient_sset(s: SimplicialSet, quots: Sequence[PointedMap]) -> SimplicialMap:
+    """Projection of s onto its quotient by one congruence quotient map
+    per dimension, with the induced faces and degeneracies."""
+    obj = _assemble(s.trunc, [q.cod for q in quots],
+                    lambda l, i: _induce(quots[l], quots[l - 1], s.faces[l][i]),
+                    lambda l, i: _induce(quots[l], quots[l + 1], s.degens[l][i]))
+    return SimplicialMap(s, obj, tuple(quots))
+
+
+def _induce_sset_map(pf: SimplicialMap, pt: SimplicialMap, m: SimplicialMap) -> SimplicialMap:
+    """The map that m, from pf.dom to pt.dom, induces between quotients."""
+    return SimplicialMap(pf.cod, pt.cod, tuple(map(_induce, pf.components, pt.components,
+                                                   m.components)))
+
+
 def _quotient_bisimplicial(rng: random.Random, b: BisimplicialSet,
                            n_seeds: int) -> BisimplicialSet:
     """Quotient by a congruence generated by random pairs, closed under
-    both operator families."""
-    uf = {(k, l): pointed._UnionFind(b.rows[k].levels[l].size)
-          for k in range(b.htrunc + 1) for l in range(b.vtrunc + 1)}
-    work = []
-    for _ in range(n_seeds):
-        k = rng.randint(0, b.htrunc)
-        l = rng.randint(0, b.vtrunc)
-        size = b.rows[k].levels[l].size
-        if size < 2:
-            continue
-        work.append((k, l, rng.randrange(size), rng.randrange(size)))
-    while work:
-        k, l, xidx, yidx = work.pop()
-        u = uf[(k, l)]
-        if u.find(xidx) == u.find(yidx):
-            continue
-        u.union(xidx, yidx)
-        images = []
-        if l >= 1:
-            images += [((k, l - 1), m) for m in b.rows[k].faces[l]]
-        if l < b.vtrunc:
-            images += [((k, l + 1), m) for m in b.rows[k].degens[l]]
-        if k >= 1:
-            images += [((k - 1, l), m.components[l]) for m in b.hfaces[k]]
-        if k < b.htrunc:
-            images += [((k + 1, l), m.components[l]) for m in b.hdegens[k]]
-        for tgt, m in images:
-            work.append((tgt[0], tgt[1], m.table[xidx], m.table[yidx]))
-
-    quots: dict[tuple[int, int], PointedMap] = {}
-    for key, u in uf.items():
-        k, l = key
-        src = b.rows[k].levels[l]
-        pairs = [(i, u.find(i)) for i in range(src.size)]
-        quots[key] = pointed.quotient_by_pairs(src, pairs)
-
-    def induce(key_from, key_to, m: PointedMap) -> PointedMap:
-        qf, qt = quots[key_from], quots[key_to]
-        table = [0] * qf.cod.size
-        for i in range(qf.dom.size):
-            table[qf.table[i]] = qt.table[m.table[i]]
-        return PointedMap(qf.cod, qt.cod, tuple(table))
-
-    rows = []
-    for k in range(b.htrunc + 1):
-        lvl = [quots[(k, l)].cod for l in range(b.vtrunc + 1)]
-        fc: list[tuple] = [()]
-        for l in range(1, b.vtrunc + 1):
-            fc.append(tuple(induce((k, l), (k, l - 1), m) for m in b.rows[k].faces[l]))
-        dg: list[tuple] = []
-        for l in range(b.vtrunc):
-            dg.append(tuple(induce((k, l), (k, l + 1), m) for m in b.rows[k].degens[l]))
-        dg.append(())
-        rows.append(SimplicialSet(b.vtrunc, tuple(lvl), tuple(fc), tuple(dg)))
-    hfaces: list[tuple] = [()]
-    for k in range(1, b.htrunc + 1):
-        hfaces.append(tuple(
-            SimplicialMap(rows[k], rows[k - 1], tuple(
-                induce((k, l), (k - 1, l), m.components[l]) for l in range(b.vtrunc + 1)
-            ))
-            for m in b.hfaces[k]
-        ))
-    hdegens: list[tuple] = []
-    for k in range(b.htrunc):
-        hdegens.append(tuple(
-            SimplicialMap(rows[k], rows[k + 1], tuple(
-                induce((k, l), (k + 1, l), m.components[l]) for l in range(b.vtrunc + 1)
-            ))
-            for m in b.hdegens[k]
-        ))
-    hdegens.append(())
-    return BisimplicialSet(b.htrunc, b.vtrunc, tuple(rows), tuple(hfaces), tuple(hdegens))
+    both operator families; cell (k, l) is row k at vertical dimension l."""
+    quots = _congruence(rng, [r.levels for r in b.rows], n_seeds, lambda k, l: (
+        _sset_images(b.rows[k], k, l)
+        + [((k - 1, l), m.components[l].table) for m in b.hfaces[k]]
+        + [((k + 1, l), m.components[l].table) for m in b.hdegens[k]]))
+    proj = [_quotient_sset(r, q) for r, q in zip(b.rows, quots)]
+    hfaces = tuple(tuple(_induce_sset_map(proj[k], proj[k - 1], m) for m in row)
+                   for k, row in enumerate(b.hfaces))
+    hdegens = tuple(tuple(_induce_sset_map(proj[k], proj[k + 1], m) for m in row)
+                    for k, row in enumerate(b.hdegens))
+    return BisimplicialSet(b.htrunc, b.vtrunc, tuple(p.cod for p in proj), hfaces, hdegens)
 
 
 def gen_bisimplicial(rng: random.Random, htrunc: int = 3, vtrunc: int = 3,
@@ -352,93 +357,27 @@ def gen_bisimplicial(rng: random.Random, htrunc: int = 3, vtrunc: int = 3,
 
 def _quotient_spectrum(rng: random.Random, x: SymSpectrum, n_seeds: int) -> SymSpectrum:
     """Quotient by an equivariant congruence closed under faces,
-    degeneracies, action generators and structure maps."""
+    degeneracies, action generators and structure maps; cell (n, l) is
+    spectral level n at dimension l.  The structure maps are induced by
+    `spectra._induced_sigma`, which asserts they are single-valued."""
     d = x.dtrunc
-    uf = {(n, l): pointed._UnionFind(x.levels[n].levels[l].size)
-          for n in range(x.strunc + 1) for l in range(d + 1)}
-    work = []
-    for _ in range(n_seeds):
-        n = rng.randint(0, x.strunc)
-        l = rng.randint(0, d)
-        size = x.levels[n].levels[l].size
-        if size < 2:
-            continue
-        work.append((n, l, rng.randrange(size), rng.randrange(size)))
-    while work:
-        n, l, xi, yi = work.pop()
-        u = uf[(n, l)]
-        if u.find(xi) == u.find(yi):
-            continue
-        u.union(xi, yi)
-        lvl = x.levels[n]
-        if l >= 1:
-            for m in lvl.faces[l]:
-                work.append((n, l - 1, m.table[xi], m.table[yi]))
-        if l < d:
-            for m in lvl.degens[l]:
-                work.append((n, l + 1, m.table[xi], m.table[yi]))
-        for g in x.gens[n]:
-            t = g.components[l].table
-            work.append((n, l, t[xi], t[yi]))
+
+    def images(n: int, l: int) -> list:
+        out = _sset_images(x.levels[n], n, l) + [((n, l), g.components[l].table) for g in x.gens[n]]
         if n < x.strunc:
-            sig = x.sigmas[n].components[l]
-            ca = circle(d).levels[l]
-            xl = lvl.levels[l]
-            for a in range(1, ca.size):
-                work.append((n + 1, l,
-                             sig.table[pointed.smash_index(ca, xl, a, xi)],
-                             sig.table[pointed.smash_index(ca, xl, a, yi)]))
+            sig = x.sigmas[n].components[l].table
+            ca, xl = circle(d).levels[l], x.levels[n].levels[l]
+            out += [((n + 1, l), [sig[pointed.smash_index(ca, xl, a, i)] for i in range(xl.size)])
+                    for a in range(1, ca.size)]
+        return out
 
-    quots: dict[tuple[int, int], PointedMap] = {}
-    for key, u in uf.items():
-        n, l = key
-        src = x.levels[n].levels[l]
-        quots[key] = pointed.quotient_by_pairs(src, [(i, u.find(i)) for i in range(src.size)])
-
-    def induce(key_from, key_to, m: PointedMap) -> PointedMap:
-        qf, qt = quots[key_from], quots[key_to]
-        table = [0] * qf.cod.size
-        for i in range(qf.dom.size):
-            table[qf.table[i]] = qt.table[m.table[i]]
-        return PointedMap(qf.cod, qt.cod, tuple(table))
-
-    levels = []
-    for n in range(x.strunc + 1):
-        lvl = [quots[(n, l)].cod for l in range(d + 1)]
-        fc: list[tuple] = [()]
-        for l in range(1, d + 1):
-            fc.append(tuple(induce((n, l), (n, l - 1), m) for m in x.levels[n].faces[l]))
-        dg: list[tuple] = []
-        for l in range(d):
-            dg.append(tuple(induce((n, l), (n, l + 1), m) for m in x.levels[n].degens[l]))
-        dg.append(())
-        levels.append(SimplicialSet(d, tuple(lvl), tuple(fc), tuple(dg)))
-    gens = []
-    for n in range(x.strunc + 1):
-        gens.append(tuple(
-            SimplicialMap(levels[n], levels[n], tuple(
-                induce((n, l), (n, l), g.components[l]) for l in range(d + 1)
-            ))
-            for g in x.gens[n]
-        ))
-    sigmas = []
-    for n in range(x.strunc):
-        dom = smash_ssets(circle(d), levels[n])
-        comps = []
-        for l in range(d + 1):
-            ca = circle(d).levels[l]
-            src = x.levels[n].levels[l]
-            qn = quots[(n, l)]
-            qn1 = quots[(n + 1, l)]
-            sig = x.sigmas[n].components[l]
-            table = [0] * pointed.smash_sets(ca, qn.cod).size
-            for a in range(1, ca.size):
-                for i in range(1, src.size):
-                    idx = pointed.smash_index(ca, qn.cod, a, qn.table[i])
-                    table[idx] = qn1.table[sig.table[pointed.smash_index(ca, src, a, i)]]
-            comps.append(PointedMap(pointed.smash_sets(ca, qn.cod), levels[n + 1].levels[l], tuple(table)))
-        sigmas.append(SimplicialMap(dom, levels[n + 1], tuple(comps)))
-    return SymSpectrum(x.strunc, d, tuple(levels), tuple(gens), tuple(sigmas))
+    quots = _congruence(rng, [lvl.levels for lvl in x.levels], n_seeds, images)
+    proj = [_quotient_sset(lvl, q) for lvl, q in zip(x.levels, quots)]
+    gens = tuple(tuple(_induce_sset_map(proj[n], proj[n], g) for g in fam)
+                 for n, fam in enumerate(x.gens))
+    sigmas = tuple(_induced_sigma(n, d, [x], [proj[n]], [proj[n + 1]], proj[n].cod, proj[n + 1].cod)
+                   for n in range(x.strunc))
+    return SymSpectrum(x.strunc, d, tuple(p.cod for p in proj), gens, sigmas)
 
 
 @lru_cache(maxsize=None)

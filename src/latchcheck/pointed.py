@@ -147,16 +147,19 @@ def invert(f: PointedMap) -> PointedMap:
 class CoconeResult:
     """A colimit object with its legs and the universal factorization.
 
-    factor takes one competing leg per defining leg (maps out of the
-    original diagram's objects, commuting with the diagram) and returns
-    the unique mediating map out of obj.  It raises MismatchError when
-    the competing cone does not commute, which doubles as a dynamic
-    well-definedness assertion everywhere quotients are extended.
+    One cocone type serves every ambient: obj and legs are pointed sets
+    and maps here, simplicial sets and maps in `simplicial`, spectra and
+    spectrum maps in `spectra`.  factor takes one competing leg per
+    defining leg (maps out of the original diagram's objects, commuting
+    with the diagram) and returns the unique mediating map out of obj.
+    It raises MismatchError when the competing cone does not commute,
+    which doubles as a dynamic well-definedness assertion everywhere
+    quotients are extended.
     """
 
-    obj: PointedSet
-    legs: tuple[PointedMap, ...]
-    factor: Callable[[Sequence[PointedMap]], PointedMap] = field(compare=False)
+    obj: object
+    legs: tuple
+    factor: Callable[[Sequence], object] = field(compare=False)
 
 
 def wedge(parts: Sequence[PointedSet]) -> CoconeResult:
@@ -318,21 +321,27 @@ def coequalizer(f: PointedMap, g: PointedMap) -> CoconeResult:
     return CoconeResult(obj=obj, legs=(q,), factor=factor)
 
 
-def pushout(f: PointedMap, g: PointedMap) -> CoconeResult:
-    """Pushout of B <-f- A -g-> C: coequalize the two composites into B v C."""
+def pushout_by(wedge_fn: Callable, coequalizer_fn: Callable, compose_fn: Callable,
+               f, g) -> CoconeResult:
+    """Pushout of B <-f- A -g-> C in any ambient: coequalize the two
+    composites into B v C, using that ambient's wedge, coequalizer and
+    composition."""
     if f.dom != g.dom:
         raise MismatchError("pushout: maps must share their domain")
-    w = wedge([f.cod, g.cod])
-    co = coequalizer(compose(f, w.legs[0]), compose(g, w.legs[1]))
+    w = wedge_fn([f.cod, g.cod])
+    co = coequalizer_fn(compose_fn(f, w.legs[0]), compose_fn(g, w.legs[1]))
     q = co.legs[0]
-    leg_b = compose(w.legs[0], q)
-    leg_c = compose(w.legs[1], q)
 
-    def factor(competing: Sequence[PointedMap]) -> PointedMap:
+    def factor(competing: Sequence) -> object:
         u, v = competing
         return co.factor([w.factor([u, v])])
 
-    return CoconeResult(obj=co.obj, legs=(leg_b, leg_c), factor=factor)
+    return CoconeResult(obj=co.obj, legs=(compose_fn(w.legs[0], q), compose_fn(w.legs[1], q)),
+                        factor=factor)
+
+
+def pushout(f: PointedMap, g: PointedMap) -> CoconeResult:
+    return pushout_by(wedge, coequalizer, compose, f, g)
 
 
 @dataclass(frozen=True)

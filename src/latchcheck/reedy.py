@@ -4,10 +4,13 @@ The same latching coequalizer runs uniformly over three ambients: finite
 pointed sets, pointed simplicial sets (so simplicial objects there are
 bisimplicial sets), and symmetric spectra.  Each ambient is a small
 capability record with zero object, wedge, coequalizer, pushout, map
-algebra, and a cofibration test; colimits of spectra are computed
-levelwise and colimits of simplicial sets pointwise, so the spectrum
-ambient's slice at a fixed level and dimension agrees table-for-table
-with the pointed-set ambient (tested).
+algebra, and a cofibration test.  Its wedge, coequalizer and pushout
+return the kernel's `CoconeResult` as the ambient's own colimit
+functions build it, and the latching code reads only its obj, legs and
+factor.  Colimits of spectra are computed levelwise and colimits of
+simplicial sets pointwise, so the spectrum ambient's slice at a fixed
+level and dimension agrees table-for-table with the pointed-set
+ambient (tested).
 
 The latching object at degree n is the coequalizer of the two shuffled
 coproducts of degeneracies; at degree 0 it is the zero object, at degree
@@ -15,9 +18,10 @@ coproducts of degeneracies; at degree 0 it is the zero object, at degree
 comparison map exists because the two composites into degree n agree,
 which is asserted on tables before factoring rather than assumed.
 
-Realization is the levelwise diagonal of the associated bisimplicial
-sets and requires square truncation.  Verdicts are truncation-qualified:
-a pass means "up to (K, N, D)", never the untruncated statement.
+Realization is the levelwise `simplicial.diagonal` of the associated
+bisimplicial sets and requires square truncation.  Verdicts are
+truncation-qualified: a pass means "up to (K, N, D)", never the
+untruncated statement.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import pointed
-from .pointed import MismatchError, PointedMap, PointedSet, compose, identity, zero_map
+from .pointed import MismatchError, PointedSet, compose, identity, zero_map
 from .reports import CheckReport, Witness, failed, passed
 from .simplicial import (
     BisimplicialSet,
@@ -35,13 +39,14 @@ from .simplicial import (
     circle,
     coequalizer_ssets,
     compose_sset_maps,
+    diagonal,
+    identity_failure,
     is_mono_ssetmap,
     point_sset,
     pushout_ssets,
     smash_ssets,
     sset_identity,
     sset_zero_map,
-    validate_sset_map,
     wedge_ssets,
 )
 from .spectra import (
@@ -88,16 +93,13 @@ class SetsAmbient:
         return f.table == g.table
 
     def wedge(self, parts):
-        c = pointed.wedge(parts)
-        return c.obj, c.legs, c.factor
+        return pointed.wedge(parts)
 
     def coequalizer(self, f, g):
-        c = pointed.coequalizer(f, g)
-        return c.obj, c.legs[0], c.factor
+        return pointed.coequalizer(f, g)
 
     def pushout(self, f, g):
-        c = pointed.pushout(f, g)
-        return c.obj, c.legs, c.factor
+        return pointed.pushout(f, g)
 
     def cofib_report(self, f, model, prop, location):
         pair = pointed.mono_witness(f)
@@ -131,16 +133,13 @@ class SsetAmbient:
         return f.components == g.components
 
     def wedge(self, parts):
-        c = wedge_ssets(parts)
-        return c.obj, c.legs, c.factor
+        return wedge_ssets(parts)
 
     def coequalizer(self, f, g):
-        c = coequalizer_ssets(f, g)
-        return c.obj, c.legs[0], c.factor
+        return coequalizer_ssets(f, g)
 
     def pushout(self, f, g):
-        c = pushout_ssets(f, g)
-        return c.obj, c.legs, c.factor
+        return pushout_ssets(f, g)
 
     def cofib_report(self, f, model, prop, location):
         return is_mono_ssetmap(f, prop=prop, location=location)
@@ -169,16 +168,13 @@ class SpectrumAmbient:
         return spectrum_maps_equal(f, g)
 
     def wedge(self, parts):
-        c = wedge_spectra(parts)
-        return c.obj, c.legs, c.factor
+        return wedge_spectra(parts)
 
     def coequalizer(self, f, g):
-        c = coequalizer_spectra(f, g)
-        return c.obj, c.legs[0], c.factor
+        return coequalizer_spectra(f, g)
 
     def pushout(self, f, g):
-        c = pushout_spectra(f, g)
-        return c.obj, c.legs, c.factor
+        return pushout_spectra(f, g)
 
     def cofib_report(self, f, model, prop, location):
         rep = COFIBRATION_TESTS[model](f)
@@ -242,26 +238,26 @@ def latch_scaffold(obj_at: Callable[[int], object],
     z_lo = obj_at(n - 2)
     z_hi = obj_at(n - 1)
     pairs = [(i, j) for j in range(n) for i in range(j)]
-    dom_obj, dom_legs, dom_factor = ambient.wedge([z_lo] * len(pairs))
-    cod_obj, cod_legs, cod_factor = ambient.wedge([z_hi] * n)
-    s_prime = dom_factor([
-        ambient.compose(degen_at(n - 2, i), cod_legs[j]) for (i, j) in pairs
+    dom = ambient.wedge([z_lo] * len(pairs))
+    cod = ambient.wedge([z_hi] * n)
+    s_prime = dom.factor([
+        ambient.compose(degen_at(n - 2, i), cod.legs[j]) for (i, j) in pairs
     ])
-    s_second = dom_factor([
-        ambient.compose(degen_at(n - 2, j - 1), cod_legs[i]) for (i, j) in pairs
+    s_second = dom.factor([
+        ambient.compose(degen_at(n - 2, j - 1), cod.legs[i]) for (i, j) in pairs
     ])
-    latch, quot, co_factor = ambient.coequalizer(s_prime, s_second)
-    into = tuple(ambient.compose(cod_legs[k], quot) for k in range(n))
+    co = ambient.coequalizer(s_prime, s_second)
+    into = tuple(ambient.compose(cod.legs[k], co.legs[0]) for k in range(n))
 
     def mediate(legs: Sequence[object]) -> object:
-        big = cod_factor(list(legs))
+        big = cod.factor(list(legs))
         if not ambient.maps_equal(ambient.compose(s_prime, big), ambient.compose(s_second, big)):
             raise MismatchError(
                 "summand maps disagree on a coequalized pair; no mediating map exists"
             )
-        return co_factor([big])
+        return co.factor([big])
 
-    return LatchScaffold(n=n, obj=latch, into_latch=into, mediate=mediate)
+    return LatchScaffold(n=n, obj=co.obj, into_latch=into, mediate=mediate)
 
 
 @dataclass(frozen=True)
@@ -320,9 +316,9 @@ def reedy_corner(dom_view: SimplicialView, cod_view: SimplicialView,
     lx = lx or simplicial_latching(dom_view, n, ambient)
     ly = ly or simplicial_latching(cod_view, n, ambient)
     lf = latching_of_map(comp_at, n, ambient, lx, ly)
-    po_obj, po_legs, po_factor = ambient.pushout(lx.nu, lf)
-    corner = po_factor([comp_at(n), ly.nu])
-    return CornerInfo(n=n, map=corner, pushout_obj=po_obj, legs=tuple(po_legs))
+    po = ambient.pushout(lx.nu, lf)
+    corner = po.factor([comp_at(n), ly.nu])
+    return CornerInfo(n=n, map=corner, pushout_obj=po.obj, legs=po.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -414,30 +410,9 @@ def from_zero_simplicial(x: SimplicialSpectrum) -> SimplicialSpectrumMap:
     ))
 
 
-def _check_identities(top: int, faces, degens, comp, eq, ident) -> str | None:
-    for k in range(2, top + 1):
-        for j in range(k + 1):
-            for i in range(j):
-                if not eq(comp(faces[k][j], faces[k - 1][i]), comp(faces[k][i], faces[k - 1][j - 1])):
-                    return f"face-face at (k,i,j)=({k},{i},{j})"
-    for k in range(top - 1):
-        for j in range(k + 1):
-            for i in range(j + 1):
-                if not eq(comp(degens[k][j], degens[k + 1][i]), comp(degens[k][i], degens[k + 1][j + 1])):
-                    return f"degeneracy-degeneracy at (k,i,j)=({k},{i},{j})"
-    for k in range(top):
-        for j in range(k + 1):
-            for i in range(k + 2):
-                lhs = comp(degens[k][j], faces[k + 1][i])
-                if i in (j, j + 1):
-                    rhs = ident(k)
-                elif i < j:
-                    rhs = comp(faces[k][i], degens[k - 1][j - 1])
-                else:
-                    rhs = comp(faces[k][i - 1], degens[k - 1][j])
-                if not eq(lhs, rhs):
-                    return f"face-degeneracy at (k,i,j)=({k},{i},{j})"
-    return None
+def _identity_text(bad: tuple) -> str:
+    family, k, i, j = bad[:4]
+    return f"{family} at (k,i,j)=({k},{i},{j})"
 
 
 def validate_simplicial_spectrum(x: SimplicialSpectrum, deep: bool = True) -> CheckReport:
@@ -457,10 +432,10 @@ def validate_simplicial_spectrum(x: SimplicialSpectrum, deep: bool = True) -> Ch
             rep = validate_spectrum_map(op)
             if not rep.passed:
                 return failed(prop, None, rep.failure_kind, f"degeneracy ({m},{i}): {rep.detail}")
-    bad = _check_identities(x.ktrunc, x.faces, x.degens, compose_spectrum_maps,
-                            spectrum_maps_equal, lambda k: spectrum_identity(x.degrees[k]))
+    bad = identity_failure(x.ktrunc, x.faces, x.degens, compose_spectrum_maps,
+                           spectrum_maps_equal, lambda k: spectrum_identity(x.degrees[k]))
     if bad is not None:
-        return failed(prop, None, "simplicial-identity", bad)
+        return failed(prop, None, "simplicial-identity", _identity_text(bad))
     return passed(prop, detail=f"valid up to (K={x.ktrunc}, N={x.strunc}, D={x.dtrunc})")
 
 
@@ -593,30 +568,22 @@ def bisimplicial_reedy_report(b: BisimplicialSet) -> CheckReport:
 
 
 def realize(x: SimplicialSpectrum) -> SymSpectrum:
-    """Levelwise diagonal of the associated bisimplicial sets."""
+    """Levelwise diagonal of the associated bisimplicial sets: at
+    spectral level m, row e is X_e(m) and the horizontal operators are
+    the level-m components of the simplicial operators of X."""
     k = x.ktrunc
     if k != x.dtrunc:
         raise TruncationError("realization needs square truncation K = D")
     strunc = x.strunc
-    levels = []
-    for m in range(strunc + 1):
-        lvls = [x.degrees[e].levels[m].levels[e] for e in range(k + 1)]
-        faces = [()]
-        for e in range(1, k + 1):
-            faces.append(tuple(
-                compose(x.faces[e][i].components[m].components[e],
-                        x.degrees[e - 1].levels[m].faces[e][i])
-                for i in range(e + 1)
-            ))
-        degens = []
-        for e in range(k):
-            degens.append(tuple(
-                compose(x.degens[e][i].components[m].components[e],
-                        x.degrees[e + 1].levels[m].degens[e][i])
-                for i in range(e + 1)
-            ))
-        degens.append(())
-        levels.append(SimplicialSet(k, tuple(lvls), tuple(faces), tuple(degens)))
+    levels = [
+        diagonal(BisimplicialSet(
+            k, k,
+            tuple(x.degrees[e].levels[m] for e in range(k + 1)),
+            tuple(tuple(op.components[m] for op in row) for row in x.faces),
+            tuple(tuple(op.components[m] for op in row) for row in x.degens),
+        ))
+        for m in range(strunc + 1)
+    ]
     gens = []
     for m in range(strunc + 1):
         fam = []
@@ -672,10 +639,10 @@ def pointwise_cofiber(f: SimplicialSpectrumMap) -> tuple[SimplicialSpectrum, Sim
         degens.append(tuple(induce(m, m + 1, y.degens[m][i]) for i in range(m + 1)))
     degens.append(())
     z = SimplicialSpectrum(k, degrees, tuple(faces), tuple(degens))
-    bad = _check_identities(k, z.faces, z.degens, compose_spectrum_maps,
-                            spectrum_maps_equal, lambda m: spectrum_identity(degrees[m]))
+    bad = identity_failure(k, z.faces, z.degens, compose_spectrum_maps,
+                           spectrum_maps_equal, lambda m: spectrum_identity(degrees[m]))
     if bad is not None:
-        raise MismatchError(f"cofiber operators violate a simplicial identity: {bad}")
+        raise MismatchError(f"cofiber operators violate a simplicial identity: {_identity_text(bad)}")
     proj = SimplicialSpectrumMap(y, z, tuple(c.legs[0] for c in cones))
     return z, proj
 

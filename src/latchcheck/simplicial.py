@@ -5,21 +5,28 @@ face and degeneracy tables.  Truncation is a hard contract: trunc is the
 top retained dimension, every operation states the largest dimension at
 which its output is meaningful, and nothing ever reads above it.
 
-Colimits (wedge, coequalizer, pushout) are computed dimensionwise by the
-pointed-set engine.  Their induced faces and degeneracies are read off
-the leg tables directly: a wedge concatenates each part's operator
-followed by its leg, and a coequalizer chases each class's least member
-through the quotient and checks every other member against it, so an
-ill-defined induction raises instead of silently producing garbage.
+Colimits are computed dimensionwise by the pointed-set engine and
+returned as the kernel's `CoconeResult`.  The induced faces and
+degeneracies of a wedge or coequalizer are read off the leg tables
+directly: a wedge concatenates each part's operator followed by its
+leg, and a coequalizer chases each class's least member through the
+quotient and checks every other member against it, so an ill-defined
+induction raises instead of silently producing garbage.  The pushout is
+the kernel's `pushout_by` over these two.  `identity_failure` checks
+the simplicial identities of any simplicial object, given its
+composition and equality; the simplicial-set, bisimplicial and
+simplicial-spectrum validators all call it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import pointed
 from .pointed import (
+    CoconeResult,
     MismatchError,
     PointedMap,
     PointedSet,
@@ -102,6 +109,45 @@ def sset_maps_equal(f: SimplicialMap, g: SimplicialMap) -> bool:
     return f.components == g.components and f.dom == g.dom and f.cod == g.cod
 
 
+def identity_failure(top: int, faces, degens, comp: Callable, eq: Callable,
+                     ident: Callable[[int], object]):
+    """First simplicial identity that fails up to degree top, or None.
+
+    Works for any simplicial object whose operators compose with comp
+    and compare with eq; ident(k) is the identity at degree k.  A
+    failure is returned as (family, k, i, j, lhs, rhs), the families
+    checked in the order face-face, degeneracy-degeneracy,
+    face-degeneracy.
+    """
+    for k in range(2, top + 1):
+        for j in range(k + 1):
+            for i in range(j):
+                lhs = comp(faces[k][j], faces[k - 1][i])
+                rhs = comp(faces[k][i], faces[k - 1][j - 1])
+                if not eq(lhs, rhs):
+                    return ("face-face", k, i, j, lhs, rhs)
+    for k in range(top - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                lhs = comp(degens[k][j], degens[k + 1][i])
+                rhs = comp(degens[k][i], degens[k + 1][j + 1])
+                if not eq(lhs, rhs):
+                    return ("degeneracy-degeneracy", k, i, j, lhs, rhs)
+    for k in range(top):
+        for j in range(k + 1):
+            for i in range(k + 2):
+                lhs = comp(degens[k][j], faces[k + 1][i])
+                if i in (j, j + 1):
+                    rhs = ident(k)
+                elif i < j:
+                    rhs = comp(faces[k][i], degens[k - 1][j - 1])
+                else:
+                    rhs = comp(faces[k][i - 1], degens[k - 1][j])
+                if not eq(lhs, rhs):
+                    return ("face-degeneracy", k, i, j, lhs, rhs)
+    return None
+
+
 def validate_sset(s: SimplicialSet) -> CheckReport:
     """Check every simplicial identity that fits inside the truncation.
 
@@ -109,44 +155,18 @@ def validate_sset(s: SimplicialSet) -> CheckReport:
     least element where the two composites differ.
     """
     prop = "simplicial-identities"
-
-    def mismatch(kind: str, k: int, i: int, j: int, lhs: PointedMap, rhs: PointedMap) -> CheckReport:
-        elt = next(e for e in range(lhs.dom.size) if lhs.table[e] != rhs.table[e])
-        w = Witness(
-            location=(("k", k), ("i", i), ("j", j), ("element", elt)),
-            pair=(lhs.table[elt], rhs.table[elt]),
-            provenance=f"{kind} identity fails at (k,i,j)=({k},{i},{j}) on element {lhs.dom.label(elt)}",
-        )
-        return failed(prop, w, kind)
-
-    d = s.trunc
-    for k in range(2, d + 1):
-        for j in range(k + 1):
-            for i in range(j):
-                lhs = compose(s.faces[k][j], s.faces[k - 1][i])
-                rhs = compose(s.faces[k][i], s.faces[k - 1][j - 1])
-                if lhs != rhs:
-                    return mismatch("face-face", k, i, j, lhs, rhs)
-    for k in range(d - 1):
-        for j in range(k + 1):
-            for i in range(j + 1):
-                lhs = compose(s.degens[k][j], s.degens[k + 1][i])
-                rhs = compose(s.degens[k][i], s.degens[k + 1][j + 1])
-                if lhs != rhs:
-                    return mismatch("degeneracy-degeneracy", k, i, j, lhs, rhs)
-    for k in range(d):
-        for j in range(k + 1):
-            for i in range(k + 2):
-                lhs = compose(s.degens[k][j], s.faces[k + 1][i])
-                if i in (j, j + 1):
-                    rhs = identity(s.levels[k])
-                elif i < j:
-                    rhs = compose(s.faces[k][i], s.degens[k - 1][j - 1])
-                else:
-                    rhs = compose(s.faces[k][i - 1], s.degens[k - 1][j])
-                if lhs != rhs:
-                    return mismatch("face-degeneracy", k, i, j, lhs, rhs)
-    return passed(prop, detail=f"all identities hold up to dimension {d}")
+    bad = identity_failure(s.trunc, s.faces, s.degens, compose, operator.eq,
+                           lambda k: identity(s.levels[k]))
+    if bad is None:
+        return passed(prop, detail=f"all identities hold up to dimension {s.trunc}")
+    kind, k, i, j, lhs, rhs = bad
+    elt = next(e for e in range(lhs.dom.size) if lhs.table[e] != rhs.table[e])
+    w = Witness(
+        location=(("k", k), ("i", i), ("j", j), ("element", elt)),
+        pair=(lhs.table[elt], rhs.table[elt]),
+        provenance=f"{kind} identity fails at (k,i,j)=({k},{i},{j}) on element {lhs.dom.label(elt)}",
+    )
+    return failed(prop, w, kind)
 
 
 def validate_sset_map(f: SimplicialMap) -> CheckReport:
@@ -383,13 +403,6 @@ def smash_sset_maps(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
 # colimits with induced operators
 
 
-@dataclass(frozen=True)
-class SsetCocone:
-    obj: SimplicialSet
-    legs: tuple[SimplicialMap, ...]
-    factor: Callable[[Sequence[SimplicialMap]], SimplicialMap] = field(compare=False)
-
-
 def _assemble(trunc: int, levels: Sequence[PointedSet],
               face_for: Callable[[int, int], PointedMap],
               degen_for: Callable[[int, int], PointedMap]) -> SimplicialSet:
@@ -398,7 +411,7 @@ def _assemble(trunc: int, levels: Sequence[PointedSet],
     return SimplicialSet(trunc, tuple(levels), tuple(faces), tuple(degens))
 
 
-def wedge_ssets(parts: Sequence[SimplicialSet]) -> SsetCocone:
+def wedge_ssets(parts: Sequence[SimplicialSet]) -> CoconeResult:
     trunc = parts[0].trunc
     if any(p.trunc != trunc for p in parts):
         raise MismatchError("wedge: truncation mismatch")
@@ -432,7 +445,7 @@ def wedge_ssets(parts: Sequence[SimplicialSet]) -> SsetCocone:
         )
         return SimplicialMap(obj, cod, comps)
 
-    return SsetCocone(obj=obj, legs=legs, factor=factor)
+    return CoconeResult(obj=obj, legs=legs, factor=factor)
 
 
 def _class_representatives(q: tuple[int, ...]) -> list[int]:
@@ -445,7 +458,7 @@ def _class_representatives(q: tuple[int, ...]) -> list[int]:
     return reps
 
 
-def coequalizer_ssets(f: SimplicialMap, g: SimplicialMap) -> SsetCocone:
+def coequalizer_ssets(f: SimplicialMap, g: SimplicialMap) -> CoconeResult:
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("coequalizer: not a parallel pair")
     trunc = f.dom.trunc
@@ -476,25 +489,11 @@ def coequalizer_ssets(f: SimplicialMap, g: SimplicialMap) -> SsetCocone:
         comps = tuple(cones[k].factor([m.components[k]]) for k in range(trunc + 1))
         return SimplicialMap(obj, m.cod, comps)
 
-    return SsetCocone(obj=obj, legs=(leg,), factor=factor)
+    return CoconeResult(obj=obj, legs=(leg,), factor=factor)
 
 
-def pushout_ssets(f: SimplicialMap, g: SimplicialMap) -> SsetCocone:
-    """Pushout of B <-f- A -g-> C in pointed simplicial sets."""
-    if f.dom != g.dom:
-        raise MismatchError("pushout: maps must share their domain")
-    w = wedge_ssets([f.cod, g.cod])
-    co = coequalizer_ssets(
-        compose_sset_maps(f, w.legs[0]), compose_sset_maps(g, w.legs[1])
-    )
-    leg_b = compose_sset_maps(w.legs[0], co.legs[0])
-    leg_c = compose_sset_maps(w.legs[1], co.legs[0])
-
-    def factor(competing: Sequence[SimplicialMap]) -> SimplicialMap:
-        u, v = competing
-        return co.factor([w.factor([u, v])])
-
-    return SsetCocone(obj=co.obj, legs=(leg_b, leg_c), factor=factor)
+def pushout_ssets(f: SimplicialMap, g: SimplicialMap) -> CoconeResult:
+    return pointed.pushout_by(wedge_ssets, coequalizer_ssets, compose_sset_maps, f, g)
 
 
 @dataclass(frozen=True)
@@ -578,34 +577,11 @@ def validate_bisimplicial(b: BisimplicialSet) -> CheckReport:
             rep = validate_sset_map(m)
             if not rep.passed:
                 return failed(prop, None, rep.failure_kind, f"horizontal degeneracy ({k},{i}) does not commute vertically")
-    # horizontal simplicial identities, checked on composed simplicial maps
-    d = b.htrunc
-    for k in range(2, d + 1):
-        for j in range(k + 1):
-            for i in range(j):
-                lhs = compose_sset_maps(b.hfaces[k][j], b.hfaces[k - 1][i])
-                rhs = compose_sset_maps(b.hfaces[k][i], b.hfaces[k - 1][j - 1])
-                if not sset_maps_equal(lhs, rhs):
-                    return failed(prop, None, "face-face", f"horizontal (k,i,j)=({k},{i},{j})")
-    for k in range(d - 1):
-        for j in range(k + 1):
-            for i in range(j + 1):
-                lhs = compose_sset_maps(b.hdegens[k][j], b.hdegens[k + 1][i])
-                rhs = compose_sset_maps(b.hdegens[k][i], b.hdegens[k + 1][j + 1])
-                if not sset_maps_equal(lhs, rhs):
-                    return failed(prop, None, "degeneracy-degeneracy", f"horizontal (k,i,j)=({k},{i},{j})")
-    for k in range(d):
-        for j in range(k + 1):
-            for i in range(k + 2):
-                lhs = compose_sset_maps(b.hdegens[k][j], b.hfaces[k + 1][i])
-                if i in (j, j + 1):
-                    rhs = sset_identity(b.rows[k])
-                elif i < j:
-                    rhs = compose_sset_maps(b.hfaces[k][i], b.hdegens[k - 1][j - 1])
-                else:
-                    rhs = compose_sset_maps(b.hfaces[k][i - 1], b.hdegens[k - 1][j])
-                if not sset_maps_equal(lhs, rhs):
-                    return failed(prop, None, "face-degeneracy", f"horizontal (k,i,j)=({k},{i},{j})")
+    bad = identity_failure(b.htrunc, b.hfaces, b.hdegens, compose_sset_maps, sset_maps_equal,
+                           lambda k: sset_identity(b.rows[k]))
+    if bad is not None:
+        kind, k, i, j = bad[:4]
+        return failed(prop, None, kind, f"horizontal (k,i,j)=({k},{i},{j})")
     return passed(prop)
 
 

@@ -67,12 +67,11 @@ from .perms import (
     multi_shuffles,
     shuffles,
 )
-from .pointed import MismatchError, PointedMap, PointedSet, compose, identity, zero_map
+from .pointed import CoconeResult, MismatchError, PointedMap, identity, zero_map
 from .reports import CheckReport, Witness, failed, passed
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
-    SsetCocone,
     TruncationError,
     circle,
     coequalizer_ssets,
@@ -910,14 +909,7 @@ def cofibrant_report(x: SymSpectrum, model: str) -> CheckReport:
 # colimits of spectra (levelwise, with induced structure)
 
 
-@dataclass(frozen=True)
-class SpectrumCocone:
-    obj: SymSpectrum
-    legs: tuple[SpectrumMap, ...]
-    factor: Callable[[Sequence[SpectrumMap]], SpectrumMap] = field(compare=False)
-
-
-def _induced_sigma(level_cones: Sequence[SsetCocone], n: int, d: int,
+def _induced_sigma(n: int, d: int,
                    pieces: Sequence[SymSpectrum],
                    piece_legs_n: Sequence[SimplicialMap],
                    piece_legs_n1: Sequence[SimplicialMap],
@@ -950,12 +942,12 @@ def _induced_sigma(level_cones: Sequence[SsetCocone], n: int, d: int,
     return SimplicialMap(dom, obj_n1, tuple(comps))
 
 
-def wedge_spectra(parts: Sequence[SymSpectrum]) -> SpectrumCocone:
+def wedge_spectra(parts: Sequence[SymSpectrum]) -> CoconeResult:
     return _wedge_spectra_cached(tuple(parts))
 
 
 @lru_cache(maxsize=96)
-def _wedge_spectra_cached(parts: tuple[SymSpectrum, ...]) -> SpectrumCocone:
+def _wedge_spectra_cached(parts: tuple[SymSpectrum, ...]) -> CoconeResult:
     """Memoized: wedges of spectra from small generator pools recur, and
     sharing the result shares its latching caches across cases."""
     strunc, d = parts[0].strunc, parts[0].dtrunc
@@ -973,7 +965,7 @@ def _wedge_spectra_cached(parts: tuple[SymSpectrum, ...]) -> SpectrumCocone:
         for n in range(strunc + 1)
     )
     sigmas = tuple(
-        _induced_sigma(cones, n, d, parts,
+        _induced_sigma(n, d, parts,
                        [cones[n].legs[j] for j in range(len(parts))],
                        [cones[n + 1].legs[j] for j in range(len(parts))],
                        levels[n], levels[n + 1])
@@ -992,10 +984,10 @@ def _wedge_spectra_cached(parts: tuple[SymSpectrum, ...]) -> SpectrumCocone:
             for n in range(strunc + 1)
         ))
 
-    return SpectrumCocone(obj=obj, legs=legs, factor=factor)
+    return CoconeResult(obj=obj, legs=legs, factor=factor)
 
 
-def coequalizer_spectra(f: SpectrumMap, g: SpectrumMap) -> SpectrumCocone:
+def coequalizer_spectra(f: SpectrumMap, g: SpectrumMap) -> CoconeResult:
     if f.dom is not g.dom and f.dom != g.dom:
         raise MismatchError("coequalizer: not a parallel pair")
     y = f.cod
@@ -1010,7 +1002,7 @@ def coequalizer_spectra(f: SpectrumMap, g: SpectrumMap) -> SpectrumCocone:
         for n in range(strunc + 1)
     )
     sigmas = tuple(
-        _induced_sigma(cones, n, d, [y], [cones[n].legs[0]], [cones[n + 1].legs[0]],
+        _induced_sigma(n, d, [y], [cones[n].legs[0]], [cones[n + 1].legs[0]],
                        levels[n], levels[n + 1])
         for n in range(strunc)
     )
@@ -1023,25 +1015,11 @@ def coequalizer_spectra(f: SpectrumMap, g: SpectrumMap) -> SpectrumCocone:
             cones[n].factor([m.components[n]]) for n in range(strunc + 1)
         ))
 
-    return SpectrumCocone(obj=obj, legs=(leg,), factor=factor)
+    return CoconeResult(obj=obj, legs=(leg,), factor=factor)
 
 
-def pushout_spectra(f: SpectrumMap, g: SpectrumMap) -> SpectrumCocone:
-    """Pushout of B <-f- A -g-> C in spectra, computed levelwise."""
-    if f.dom != g.dom:
-        raise MismatchError("pushout: maps must share their domain")
-    w = wedge_spectra([f.cod, g.cod])
-    co = coequalizer_spectra(
-        compose_spectrum_maps(f, w.legs[0]), compose_spectrum_maps(g, w.legs[1])
-    )
-    leg_b = compose_spectrum_maps(w.legs[0], co.legs[0])
-    leg_c = compose_spectrum_maps(w.legs[1], co.legs[0])
-
-    def factor(competing: Sequence[SpectrumMap]) -> SpectrumMap:
-        u, v = competing
-        return co.factor([w.factor([u, v])])
-
-    return SpectrumCocone(obj=co.obj, legs=(leg_b, leg_c), factor=factor)
+def pushout_spectra(f: SpectrumMap, g: SpectrumMap) -> CoconeResult:
+    return pointed.pushout_by(wedge_spectra, coequalizer_spectra, compose_spectrum_maps, f, g)
 
 
 @lru_cache(maxsize=128)

@@ -99,10 +99,14 @@ class TestHostileDocuments:
         ("latch", "--spectral", "2"),
         ("check", "flat"),
         ("check", "positive-flat"),
-    ], ids=["latch", "check-flat", "check-positive-flat"])
+        ("check", "levelwise"),
+        ("latch", "--spectral", "1"),
+    ], ids=["latch", "check-flat", "check-positive-flat", "check-levelwise", "latch-level-1"])
     def test_spectrum_breaking_its_axioms_is_input_error(self, tmp_path, argv):
         # well-formed tables, but the level-2 action is the identity, so the
-        # structure maps are not equivariant and latching cannot factor
+        # structure maps are not equivariant; every computing command
+        # validates the document first, even where its computation would
+        # not fail
         path = tmp_path / "trivial-action.json"
         path.write_text(canonical_json(_trivial_level2_action_doc()))
         run_cli("validate", str(path), expect=1)

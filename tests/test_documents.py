@@ -100,3 +100,24 @@ class TestErrors:
         doc["faces"] = doc["faces"][:-1]
         with pytest.raises(DocumentError):
             parse_document(doc)
+
+    def test_spectrum_truncation_checked_before_any_circle_is_built(self, monkeypatch):
+        # each sigma's domain is circle(D) smashed with a level, and circle(D)
+        # is quadratic in D and memoized for good, so D is checked against
+        # the levels first
+        import latchcheck.documents as documents
+
+        real_circle = documents.circle
+
+        def guarded(n):
+            if n > 50:
+                raise AssertionError(f"circle({n}) was built")
+            return real_circle(n)
+
+        monkeypatch.setattr(documents, "circle", guarded)
+        doc = to_document(sphere_spectrum(1, 1), name="huge-d")
+        assert len(doc["sigma"]) == 1
+        doc["trunc"]["D"] = 10**6
+        with pytest.raises(DocumentError) as err:
+            parse_document(doc)
+        assert "D=1000000" in str(err.value)
