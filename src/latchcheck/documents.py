@@ -23,8 +23,27 @@ KINDS = (
 )
 
 
+# Validating a spectrum builds sphere(p, D), with k**p cells in dimension
+# k, for every p <= N, so its cost grows exponentially in N.  A spectrum
+# document needing more sphere cells than this is refused; bar-s, the
+# largest builtin spectrum (N=3, D=4), needs 130.
+SPHERE_CELL_BUDGET = 5000
+
+
 class DocumentError(ValueError):
     """Malformed document: bad syntax, schema, or unresolved reference."""
+
+
+def sphere_cells(strunc: int, dtrunc: int) -> int:
+    """Sum of k**p over 2 <= p <= N and 1 <= k <= D, counted only until it
+    passes the budget, so a huge N or D costs at most the budget."""
+    total = 0
+    for p in range(2, strunc + 1) if dtrunc > 0 else ():
+        for k in range(1, dtrunc + 1):
+            total += k**p
+            if total > SPHERE_CELL_BUDGET:
+                return total
+    return total
 
 
 def canonical_json(data: Any) -> str:
@@ -215,6 +234,9 @@ def _parse_spectrum(data: Any, defs: dict, ctx: str) -> SymSpectrum:
     trunc = _need(data, "trunc", ctx)
     strunc = _int(_need(trunc, "N", ctx), ctx, "N")
     dtrunc = _int(_need(trunc, "D", ctx), ctx, "D")
+    if sphere_cells(strunc, dtrunc) > SPHERE_CELL_BUDGET:
+        raise DocumentError(f"{ctx}: validating N={strunc}, D={dtrunc} needs more than "
+                            f"{SPHERE_CELL_BUDGET} sphere cells")
     levels = tuple(_parse_sset(l, defs, f"{ctx}.levels[{n}]")
                    for n, l in enumerate(_list(_need(data, "levels", ctx), ctx, "levels")))
     # checked before any sigma is parsed: each sigma's domain needs circle(D)

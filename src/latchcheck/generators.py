@@ -33,11 +33,12 @@ from .simplicial import (
     BisimplicialSet,
     SimplicialMap,
     SimplicialSet,
-    _assemble,
     circle,
     constant_bisimplicial,
     constant_sset,
     constant_sset_map,
+    lift_ssets,
+    operator_rows,
     point_sset,
     smash_sset_maps,
     smash_ssets,
@@ -62,9 +63,9 @@ from .reedy import (
 )
 from .spectra import (
     SymSpectrum,
-    _induced_sigma,
     is_flat_cofibration,
     is_positive_flat,
+    lift_spectra,
     smash_spectrum_sset,
     smash_spectrum_sset_map,
     sphere_spectrum,
@@ -218,27 +219,17 @@ def _discrete_bisimplicial(v: SimplicialSet, vtrunc: int) -> BisimplicialSet:
     """Rows are constant simplicial sets on the levels of v; horizontal
     operators are the constant extensions of v's operators."""
     rows = tuple(constant_sset(p, vtrunc) for p in v.levels)
-    hfaces: list[tuple[SimplicialMap, ...]] = [()]
-    for k in range(1, v.trunc + 1):
-        hfaces.append(tuple(constant_sset_map(m, vtrunc) for m in v.faces[k]))
-    hdegens: list[tuple[SimplicialMap, ...]] = []
-    for k in range(v.trunc):
-        hdegens.append(tuple(constant_sset_map(m, vtrunc) for m in v.degens[k]))
-    hdegens.append(())
-    return BisimplicialSet(v.trunc, vtrunc, rows, tuple(hfaces), tuple(hdegens))
+    return BisimplicialSet(v.trunc, vtrunc, rows, *operator_rows(
+        v.trunc, lambda k, i: constant_sset_map(v.faces[k][i], vtrunc),
+        lambda k, i: constant_sset_map(v.degens[k][i], vtrunc)))
 
 
 def _smash_bisimplicial(b: BisimplicialSet, z: SimplicialSet) -> BisimplicialSet:
     iz = sset_identity(z)
     rows = tuple(smash_ssets(r, z) for r in b.rows)
-    hfaces: list[tuple] = [()]
-    for k in range(1, b.htrunc + 1):
-        hfaces.append(tuple(smash_sset_maps(m, iz) for m in b.hfaces[k]))
-    hdegens: list[tuple] = []
-    for k in range(b.htrunc):
-        hdegens.append(tuple(smash_sset_maps(m, iz) for m in b.hdegens[k]))
-    hdegens.append(())
-    return BisimplicialSet(b.htrunc, b.vtrunc, rows, tuple(hfaces), tuple(hdegens))
+    return BisimplicialSet(b.htrunc, b.vtrunc, rows, *operator_rows(
+        b.htrunc, lambda k, i: smash_sset_maps(b.hfaces[k][i], iz),
+        lambda k, i: smash_sset_maps(b.hdegens[k][i], iz)))
 
 
 def _congruence(rng: random.Random, grid: Sequence[Sequence[PointedSet]], n_seeds: int,
@@ -284,28 +275,10 @@ def _sset_images(s: SimplicialSet, a: int, l: int) -> list:
             + [((a, l + 1), m.table) for m in s.degens[l]])
 
 
-def _induce(qf: PointedMap, qt: PointedMap, m: PointedMap) -> PointedMap:
-    """The map that m, from qf.dom to qt.dom, induces between the
-    quotients qf.cod and qt.cod; the congruence makes it well defined."""
-    table = [0] * qf.cod.size
-    for i in range(qf.dom.size):
-        table[qf.table[i]] = qt.table[m.table[i]]
-    return PointedMap(qf.cod, qt.cod, tuple(table))
-
-
-def _quotient_sset(s: SimplicialSet, quots: Sequence[PointedMap]) -> SimplicialMap:
-    """Projection of s onto its quotient by one congruence quotient map
-    per dimension, with the induced faces and degeneracies."""
-    obj = _assemble(s.trunc, [q.cod for q in quots],
-                    lambda l, i: _induce(quots[l], quots[l - 1], s.faces[l][i]),
-                    lambda l, i: _induce(quots[l], quots[l + 1], s.degens[l][i]))
-    return SimplicialMap(s, obj, tuple(quots))
-
-
-def _induce_sset_map(pf: SimplicialMap, pt: SimplicialMap, m: SimplicialMap) -> SimplicialMap:
-    """The map that m, from pf.dom to pt.dom, induces between quotients."""
-    return SimplicialMap(pf.cod, pt.cod, tuple(map(_induce, pf.components, pt.components,
-                                                   m.components)))
+def _quotient_ssets(rows: Sequence[SimplicialSet], quots) -> list:
+    """Quotient cocone of each simplicial set in rows by its congruence's
+    canonical quotient maps, one per dimension."""
+    return [lift_ssets([pointed.quotient(q) for q in qs], [r]) for r, qs in zip(rows, quots)]
 
 
 def _quotient_bisimplicial(rng: random.Random, b: BisimplicialSet,
@@ -316,12 +289,12 @@ def _quotient_bisimplicial(rng: random.Random, b: BisimplicialSet,
         _sset_images(b.rows[k], k, l)
         + [((k - 1, l), m.components[l].table) for m in b.hfaces[k]]
         + [((k + 1, l), m.components[l].table) for m in b.hdegens[k]]))
-    proj = [_quotient_sset(r, q) for r, q in zip(b.rows, quots)]
-    hfaces = tuple(tuple(_induce_sset_map(proj[k], proj[k - 1], m) for m in row)
-                   for k, row in enumerate(b.hfaces))
-    hdegens = tuple(tuple(_induce_sset_map(proj[k], proj[k + 1], m) for m in row)
-                    for k, row in enumerate(b.hdegens))
-    return BisimplicialSet(b.htrunc, b.vtrunc, tuple(p.cod for p in proj), hfaces, hdegens)
+    rows = _quotient_ssets(b.rows, quots)
+    hfaces, hdegens = operator_rows(
+        b.htrunc,
+        lambda k, i: pointed.induced(rows[k], rows[k - 1], [b.hfaces[k][i]]),
+        lambda k, i: pointed.induced(rows[k], rows[k + 1], [b.hdegens[k][i]]))
+    return BisimplicialSet(b.htrunc, b.vtrunc, tuple(r.obj for r in rows), hfaces, hdegens)
 
 
 def gen_bisimplicial(rng: random.Random, htrunc: int = 3, vtrunc: int = 3,
@@ -358,8 +331,8 @@ def gen_bisimplicial(rng: random.Random, htrunc: int = 3, vtrunc: int = 3,
 def _quotient_spectrum(rng: random.Random, x: SymSpectrum, n_seeds: int) -> SymSpectrum:
     """Quotient by an equivariant congruence closed under faces,
     degeneracies, action generators and structure maps; cell (n, l) is
-    spectral level n at dimension l.  The structure maps are induced by
-    `spectra._induced_sigma`, which asserts they are single-valued."""
+    spectral level n at dimension l.  The quotient is built by the
+    spectrum lifting, whose induced operators assert single-valuedness."""
     d = x.dtrunc
 
     def images(n: int, l: int) -> list:
@@ -372,12 +345,7 @@ def _quotient_spectrum(rng: random.Random, x: SymSpectrum, n_seeds: int) -> SymS
         return out
 
     quots = _congruence(rng, [lvl.levels for lvl in x.levels], n_seeds, images)
-    proj = [_quotient_sset(lvl, q) for lvl, q in zip(x.levels, quots)]
-    gens = tuple(tuple(_induce_sset_map(proj[n], proj[n], g) for g in fam)
-                 for n, fam in enumerate(x.gens))
-    sigmas = tuple(_induced_sigma(n, d, [x], [proj[n]], [proj[n + 1]], proj[n].cod, proj[n + 1].cod)
-                   for n in range(x.strunc))
-    return SymSpectrum(x.strunc, d, tuple(p.cod for p in proj), gens, sigmas)
+    return lift_spectra(_quotient_ssets(x.levels, quots), [x]).obj
 
 
 @lru_cache(maxsize=None)
@@ -550,20 +518,9 @@ def mold_simplicial_spectrum(base: SymSpectrum, mold: SimplicialSet) -> Simplici
     d = base.dtrunc
     k = mold.trunc
     degrees = tuple(_block(base, mold.levels[m].size, d) for m in range(k + 1))
-    faces: list[tuple] = [()]
-    for m in range(1, k + 1):
-        faces.append(tuple(
-            smash_spectrum_sset_map(base, constant_sset_map(mold.faces[m][i], d))
-            for i in range(m + 1)
-        ))
-    degens: list[tuple] = []
-    for m in range(k):
-        degens.append(tuple(
-            smash_spectrum_sset_map(base, constant_sset_map(mold.degens[m][i], d))
-            for i in range(m + 1)
-        ))
-    degens.append(())
-    return SimplicialSpectrum(k, degrees, tuple(faces), tuple(degens))
+    return SimplicialSpectrum(k, degrees, *operator_rows(
+        k, lambda m, i: smash_spectrum_sset_map(base, constant_sset_map(mold.faces[m][i], d)),
+        lambda m, i: smash_spectrum_sset_map(base, constant_sset_map(mold.degens[m][i], d))))
 
 
 def _coefficient_pool(seed: int, dtrunc: int, count: int = 3) -> list[SimplicialSet]:

@@ -149,17 +149,27 @@ class CoconeResult:
 
     One cocone type serves every ambient: obj and legs are pointed sets
     and maps here, simplicial sets and maps in `simplicial`, spectra and
-    spectrum maps in `spectra`.  factor takes one competing leg per
-    defining leg (maps out of the original diagram's objects, commuting
-    with the diagram) and returns the unique mediating map out of obj.
-    It raises MismatchError when the competing cone does not commute,
-    which doubles as a dynamic well-definedness assertion everywhere
-    quotients are extended.
+    spectrum maps in `spectra`, simplicial spectra and their maps in
+    `reedy`.  factor takes one competing leg per defining leg (maps out
+    of the original diagram's objects, commuting with the diagram) and
+    returns the unique mediating map out of obj.  It raises
+    MismatchError when the competing cone does not commute, which
+    doubles as a dynamic well-definedness assertion everywhere quotients
+    are extended.
+
+    The higher ambients form colimits levelwise through `lift`, which
+    records one cocone per index of its grid (dim; level x dim; degree
+    x level x dim) as cells, and its layer's map constructor as
+    make_map.  A quotient records reps, the least member of each class.
+    `induced`, the one induced-map kernel, reads these fields.
     """
 
     obj: object
     legs: tuple
     factor: Callable[[Sequence], object] = field(compare=False)
+    reps: tuple[int, ...] | None = field(default=None, compare=False)
+    cells: tuple = field(default=(), compare=False)
+    make_map: Callable | None = field(default=None, compare=False)
 
 
 def wedge(parts: Sequence[PointedSet]) -> CoconeResult:
@@ -179,12 +189,11 @@ def wedge(parts: Sequence[PointedSet]) -> CoconeResult:
         if len(competing) != len(parts):
             raise MismatchError("wedge.factor: wrong number of legs")
         cod = competing[0].cod if competing else POINT
-        table = [0] * obj.size
+        table = [0]
         for leg, comp in zip(legs, competing):
             if comp.dom != leg.dom or comp.cod != cod:
                 raise MismatchError("wedge.factor: leg endpoints do not match")
-            for i in range(1, leg.dom.size):
-                table[leg.table[i]] = comp.table[i]
+            table += comp.table[1:]
         return PointedMap(obj, cod, tuple(table))
 
     return CoconeResult(obj=obj, legs=legs, factor=factor)
@@ -293,24 +302,21 @@ def quotient_by_pairs(target: PointedSet, pairs: Sequence[tuple[int, int]]) -> P
     return PointedMap(target, PointedSet(len(roots)), table)
 
 
-def coequalizer(f: PointedMap, g: PointedMap) -> CoconeResult:
-    """Coequalizer of a parallel pair, computed by union-find."""
-    if f.dom != g.dom or f.cod != g.cod:
-        raise MismatchError("coequalizer: maps are not a parallel pair")
-    q = quotient_by_pairs(f.cod, list(zip(f.table, g.table)))
+def quotient(q: PointedMap) -> CoconeResult:
+    """A canonical quotient map, classes numbered in order of their least
+    members, as a one-legged cocone."""
     obj = q.cod
-
-    # least representative of each class, for factoring
-    reps = [-1] * obj.size
+    least = [-1] * obj.size
     for i, c in enumerate(q.table):
-        if reps[c] < 0:
-            reps[c] = i
+        if least[c] < 0:
+            least[c] = i
+    reps = tuple(least)
 
     def factor(competing: Sequence[PointedMap]) -> PointedMap:
         (m,) = competing
-        if m.dom != f.cod:
+        if m.dom != q.dom:
             raise MismatchError("coequalizer.factor: wrong domain")
-        table = tuple(m.table[reps[c]] for c in range(obj.size))
+        table = tuple(m.table[r] for r in reps)
         for i, c in enumerate(q.table):
             if m.table[i] != table[c]:
                 raise MismatchError(
@@ -318,7 +324,65 @@ def coequalizer(f: PointedMap, g: PointedMap) -> CoconeResult:
                 )
         return PointedMap(obj, m.cod, table)
 
-    return CoconeResult(obj=obj, legs=(q,), factor=factor)
+    return CoconeResult(obj=obj, legs=(q,), factor=factor, reps=reps)
+
+
+def coequalizer(f: PointedMap, g: PointedMap) -> CoconeResult:
+    """Coequalizer of a parallel pair, computed by union-find."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise MismatchError("coequalizer: maps are not a parallel pair")
+    return quotient(quotient_by_pairs(f.cod, list(zip(f.table, g.table))))
+
+
+def induced(src: CoconeResult, dst: CoconeResult, ops: Sequence) -> object:
+    """The map src.obj -> dst.obj induced by one map per piece.
+
+    src and dst are colimits of the same shape, and ops[j] maps src's
+    piece j to dst's piece j.  A lifted colimit induces it cell by cell;
+    a wedge concatenates each part's map followed by its leg; a quotient
+    chases each class's least member through its map and dst's quotient,
+    and raises MismatchError when another member of the class lands
+    elsewhere, so an ill-defined induction never yields a table.
+    """
+    if src.cells:
+        return src.make_map(src.obj, dst.obj, tuple(
+            induced(s, t, [op.components[i] for op in ops])
+            for i, (s, t) in enumerate(zip(src.cells, dst.cells))
+        ))
+    if src.reps is None:
+        # the parts sit in order after the basepoint
+        table = [0]
+        for leg, op in zip(dst.legs, ops):
+            table += map(leg.table.__getitem__, op.table[1:])
+        return PointedMap(src.obj, dst.obj, tuple(table))
+    (op,) = ops
+    image = list(map(dst.legs[0].table.__getitem__, op.table))
+    table = tuple(map(image.__getitem__, src.reps))
+    if image != list(map(table.__getitem__, src.legs[0].table)):
+        raise MismatchError("coequalizer: an operator does not respect the quotient")
+    return PointedMap(src.obj, dst.obj, table)
+
+
+def lift(cells: Sequence[CoconeResult], pieces: Sequence, make_map: Callable,
+         build: Callable) -> CoconeResult:
+    """The levelwise colimit of pieces whose component at index i has the
+    colimit cells[i].
+
+    make_map(dom, cod, components) is the map constructor of the layer.
+    build(objs, induce) assembles the colimit object from the cells'
+    objects, where induce(i, j, ops) is the operator from index i to
+    index j induced by one operator per piece.  Legs and factor are
+    taken cell by cell.
+    """
+    obj = build([c.obj for c in cells], lambda i, j, ops: induced(cells[i], cells[j], ops))
+    legs = tuple(make_map(p, obj, tuple(c.legs[j] for c in cells)) for j, p in enumerate(pieces))
+
+    def factor(competing: Sequence) -> object:
+        return make_map(obj, competing[0].cod, tuple(
+            c.factor([m.components[i] for m in competing]) for i, c in enumerate(cells)
+        ))
+
+    return CoconeResult(obj=obj, legs=legs, factor=factor, cells=tuple(cells), make_map=make_map)
 
 
 def pushout_by(wedge_fn: Callable, coequalizer_fn: Callable, compose_fn: Callable,

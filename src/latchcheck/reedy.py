@@ -8,9 +8,12 @@ algebra, and a cofibration test.  Its wedge, coequalizer and pushout
 return the kernel's `CoconeResult` as the ambient's own colimit
 functions build it, and the latching code reads only its obj, legs and
 factor.  Colimits of spectra are computed levelwise and colimits of
-simplicial sets pointwise, so the spectrum ambient's slice at a fixed
-level and dimension agrees table-for-table with the pointed-set
-ambient (tested).
+simplicial sets pointwise, all through the kernel's one lifting
+(`pointed.lift`), so the spectrum ambient's slice at a fixed level and
+dimension agrees table-for-table with the pointed-set ambient (tested).
+The wedge of simplicial spectra is the same lifting once more, over the
+degree x level x dim grid: its faces and degeneracies are induced cell
+by cell by `pointed.induced` from the degreewise wedges of spectra.
 
 The latching object at degree n is the coequalizer of the two shuffled
 coproducts of degeneracies; at degree 0 it is the zero object, at degree
@@ -38,10 +41,12 @@ from .simplicial import (
     TruncationError,
     circle,
     coequalizer_ssets,
+    commutation_failure,
     compose_sset_maps,
     diagonal,
     identity_failure,
     is_mono_ssetmap,
+    operator_rows,
     point_sset,
     pushout_ssets,
     smash_ssets,
@@ -393,14 +398,7 @@ def spectrum_ambient_for(x: SimplicialSpectrum) -> SpectrumAmbient:
 
 
 def zero_simplicial_spectrum(ktrunc: int, strunc: int, dtrunc: int) -> SimplicialSpectrum:
-    z = zero_spectrum(strunc, dtrunc)
-    zid = spectrum_identity(z)
-    return SimplicialSpectrum(
-        ktrunc=ktrunc,
-        degrees=(z,) * (ktrunc + 1),
-        faces=((),) + tuple((zid,) * (m + 1) for m in range(1, ktrunc + 1)),
-        degens=tuple((zid,) * (m + 1) for m in range(ktrunc)) + ((),),
-    )
+    return constant_simplicial_spectrum(zero_spectrum(strunc, dtrunc), ktrunc)
 
 
 def from_zero_simplicial(x: SimplicialSpectrum) -> SimplicialSpectrumMap:
@@ -445,19 +443,11 @@ def validate_simplicial_spectrum_map(f: SimplicialSpectrumMap) -> CheckReport:
         rep = validate_spectrum_map(c)
         if not rep.passed:
             return failed(prop, None, rep.failure_kind, f"component {m}: {rep.detail}")
-    for m in range(1, f.dom.ktrunc + 1):
-        for i in range(m + 1):
-            lhs = compose_spectrum_maps(f.dom.faces[m][i], f.components[m - 1])
-            rhs = compose_spectrum_maps(f.components[m], f.cod.faces[m][i])
-            if not spectrum_maps_equal(lhs, rhs):
-                return failed(prop, None, "face-commutation", f"component {m} vs face {i}")
-    for m in range(f.dom.ktrunc):
-        for i in range(m + 1):
-            lhs = compose_spectrum_maps(f.dom.degens[m][i], f.components[m + 1])
-            rhs = compose_spectrum_maps(f.components[m], f.cod.degens[m][i])
-            if not spectrum_maps_equal(lhs, rhs):
-                return failed(prop, None, "degeneracy-commutation", f"component {m} vs degeneracy {i}")
-    return passed(prop)
+    bad = commutation_failure(f, compose_spectrum_maps, spectrum_maps_equal)
+    if bad is None:
+        return passed(prop)
+    family, m, i = bad
+    return failed(prop, None, f"{family}-commutation", f"component {m} vs {family} {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +621,8 @@ def pointwise_cofiber(f: SimplicialSpectrumMap) -> tuple[SimplicialSpectrum, Sim
         w = spectrum_zero_map(zero, degrees[m_to])
         return cones[m_from].factor([u, w])
 
-    faces = [()]
-    for m in range(1, k + 1):
-        faces.append(tuple(induce(m, m - 1, y.faces[m][i]) for i in range(m + 1)))
-    degens = []
-    for m in range(k):
-        degens.append(tuple(induce(m, m + 1, y.degens[m][i]) for i in range(m + 1)))
-    degens.append(())
-    z = SimplicialSpectrum(k, degrees, tuple(faces), tuple(degens))
+    z = SimplicialSpectrum(k, degrees, *operator_rows(
+        k, lambda m, i: induce(m, m - 1, y.faces[m][i]), lambda m, i: induce(m, m + 1, y.degens[m][i])))
     bad = identity_failure(k, z.faces, z.degens, compose_spectrum_maps,
                            spectrum_maps_equal, lambda m: spectrum_identity(degrees[m]))
     if bad is not None:
@@ -649,12 +633,8 @@ def pointwise_cofiber(f: SimplicialSpectrumMap) -> tuple[SimplicialSpectrum, Sim
 
 def constant_simplicial_spectrum(sp: SymSpectrum, ktrunc: int) -> SimplicialSpectrum:
     ident = spectrum_identity(sp)
-    return SimplicialSpectrum(
-        ktrunc=ktrunc,
-        degrees=(sp,) * (ktrunc + 1),
-        faces=((),) + tuple((ident,) * (m + 1) for m in range(1, ktrunc + 1)),
-        degens=tuple((ident,) * (m + 1) for m in range(ktrunc)) + ((),),
-    )
+    return SimplicialSpectrum(ktrunc, (sp,) * (ktrunc + 1),
+                              *operator_rows(ktrunc, lambda m, i: ident, lambda m, i: ident))
 
 
 def wedge_simplicial_spectra(parts: Sequence[SimplicialSpectrum]
@@ -663,30 +643,11 @@ def wedge_simplicial_spectra(parts: Sequence[SimplicialSpectrum]
     k = parts[0].ktrunc
     if any(p.ktrunc != k for p in parts):
         raise MismatchError("wedge: simplicial truncations differ")
-    cones = [wedge_spectra([p.degrees[m] for p in parts]) for m in range(k + 1)]
-    degrees = tuple(c.obj for c in cones)
-    faces: list[tuple[SpectrumMap, ...]] = [()]
-    for m in range(1, k + 1):
-        faces.append(tuple(
-            cones[m].factor([
-                compose_spectrum_maps(p.faces[m][i], cones[m - 1].legs[j])
-                for j, p in enumerate(parts)
-            ])
-            for i in range(m + 1)
-        ))
-    degens: list[tuple[SpectrumMap, ...]] = []
-    for m in range(k):
-        degens.append(tuple(
-            cones[m].factor([
-                compose_spectrum_maps(p.degens[m][i], cones[m + 1].legs[j])
-                for j, p in enumerate(parts)
-            ])
-            for i in range(m + 1)
-        ))
-    degens.append(())
-    obj = SimplicialSpectrum(k, degrees, tuple(faces), tuple(degens))
-    legs = tuple(
-        SimplicialSpectrumMap(p, obj, tuple(cones[m].legs[j] for m in range(k + 1)))
-        for j, p in enumerate(parts)
-    )
-    return obj, legs
+    cone = pointed.lift(
+        [wedge_spectra([p.degrees[m] for p in parts]) for m in range(k + 1)], parts,
+        SimplicialSpectrumMap,
+        lambda degrees, induce: SimplicialSpectrum(k, tuple(degrees), *operator_rows(
+            k,
+            lambda m, i: induce(m, m - 1, [p.faces[m][i] for p in parts]),
+            lambda m, i: induce(m, m + 1, [p.degens[m][i] for p in parts]))))
+    return cone.obj, cone.legs

@@ -6,16 +6,20 @@ top retained dimension, every operation states the largest dimension at
 which its output is meaningful, and nothing ever reads above it.
 
 Colimits are computed dimensionwise by the pointed-set engine and
-returned as the kernel's `CoconeResult`.  The induced faces and
-degeneracies of a wedge or coequalizer are read off the leg tables
-directly: a wedge concatenates each part's operator followed by its
-leg, and a coequalizer chases each class's least member through the
-quotient and checks every other member against it, so an ill-defined
-induction raises instead of silently producing garbage.  The pushout is
-the kernel's `pushout_by` over these two.  `identity_failure` checks
-the simplicial identities of any simplicial object, given its
-composition and equality; the simplicial-set, bisimplicial and
-simplicial-spectrum validators all call it.
+returned as the kernel's `CoconeResult`.  `lift_ssets` is the kernel's
+one lifting (`pointed.lift`) over the dimension grid: given the pointed
+wedge or coequalizer of each dimension, it induces every face and
+degeneracy through the kernel's `pointed.induced`, which concatenates a
+wedge's operator tables through the legs and chases each class's least
+member through a quotient, raising when another member disagrees, so an
+ill-defined induction never yields a table.  The pushout is the
+kernel's `pushout_by` over the wedge and coequalizer.
+`identity_failure` checks the simplicial identities of any simplicial
+object, given its composition and equality; the simplicial-set,
+bisimplicial and simplicial-spectrum validators all call it.  In the
+same way `commutation_failure` checks that a map commutes with the
+operators of its ends, for simplicial-set, spectrum and
+simplicial-spectrum maps.
 """
 from __future__ import annotations
 
@@ -109,6 +113,14 @@ def sset_maps_equal(f: SimplicialMap, g: SimplicialMap) -> bool:
     return f.components == g.components and f.dom == g.dom and f.cod == g.cod
 
 
+def operator_rows(top: int, face_for: Callable[[int, int], object],
+                  degen_for: Callable[[int, int], object]) -> tuple[tuple, tuple]:
+    """Face and degeneracy rows of a simplicial object up to degree top."""
+    faces = ((),) + tuple(tuple(face_for(k, i) for i in range(k + 1)) for k in range(1, top + 1))
+    degens = tuple(tuple(degen_for(k, i) for i in range(k + 1)) for k in range(top)) + ((),)
+    return faces, degens
+
+
 def identity_failure(top: int, faces, degens, comp: Callable, eq: Callable,
                      ident: Callable[[int], object]):
     """First simplicial identity that fails up to degree top, or None.
@@ -169,17 +181,36 @@ def validate_sset(s: SimplicialSet) -> CheckReport:
     return failed(prop, w, kind)
 
 
+def commutation_failure(f, comp: Callable, eq: Callable, families: Sequence[tuple] = ()):
+    """First operator that the components of the map f fail to commute
+    with, or None.
+
+    families lists (family, dom_ops, cod_ops, shift): dom_ops[k][i] and
+    cod_ops[k][i] are operator i out of degree k of f's domain and
+    codomain, landing in degree k + shift, and f commutes with it when
+    comp(dom_op, component k + shift) equals comp(component k, cod_op)
+    under eq.  By default they are the faces and degeneracies of f's
+    ends.  A failure is returned as (family, k, i), the families checked
+    in the order given.
+    """
+    families = families or (("face", f.dom.faces, f.cod.faces, -1),
+                            ("degeneracy", f.dom.degens, f.cod.degens, 1))
+    comps = f.components
+    for family, dom_ops, cod_ops, shift in families:
+        for k, row in enumerate(dom_ops):
+            for i, op in enumerate(row):
+                if not eq(comp(op, comps[k + shift]), comp(comps[k], cod_ops[k][i])):
+                    return family, k, i
+    return None
+
+
 def validate_sset_map(f: SimplicialMap) -> CheckReport:
     prop = "simplicial-map"
-    for k in range(1, f.dom.trunc + 1):
-        for i in range(k + 1):
-            if compose(f.dom.faces[k][i], f.components[k - 1]) != compose(f.components[k], f.cod.faces[k][i]):
-                return failed(prop, None, "face-commutation", f"component {k} vs face {i}")
-    for k in range(f.dom.trunc):
-        for i in range(k + 1):
-            if compose(f.dom.degens[k][i], f.components[k + 1]) != compose(f.components[k], f.cod.degens[k][i]):
-                return failed(prop, None, "degeneracy-commutation", f"component {k} vs degeneracy {i}")
-    return passed(prop)
+    bad = commutation_failure(f, compose, operator.eq)
+    if bad is None:
+        return passed(prop)
+    family, k, i = bad
+    return failed(prop, None, f"{family}-commutation", f"component {k} vs {family} {i}")
 
 
 def is_mono_ssetmap(f: SimplicialMap, prop: str = "levelwise-mono",
@@ -208,25 +239,14 @@ def is_iso_ssetmap(f: SimplicialMap) -> bool:
 
 
 def point_sset(trunc: int) -> SimplicialSet:
-    pt = PointedSet(1, labels=("*",))
-    ident = identity(pt)
-    return SimplicialSet(
-        trunc=trunc,
-        levels=(pt,) * (trunc + 1),
-        faces=((),) + tuple((ident,) * (k + 1) for k in range(1, trunc + 1)),
-        degens=tuple((ident,) * (k + 1) for k in range(trunc)) + ((),),
-    )
+    return constant_sset(PointedSet(1, labels=("*",)), trunc)
 
 
 def constant_sset(p: PointedSet, trunc: int) -> SimplicialSet:
     """The constant (discrete) simplicial set on a pointed set."""
     ident = identity(p)
-    return SimplicialSet(
-        trunc=trunc,
-        levels=(p,) * (trunc + 1),
-        faces=((),) + tuple((ident,) * (k + 1) for k in range(1, trunc + 1)),
-        degens=tuple((ident,) * (k + 1) for k in range(trunc)) + ((),),
-    )
+    return SimplicialSet(trunc, (p,) * (trunc + 1),
+                         *operator_rows(trunc, lambda k, i: ident, lambda k, i: ident))
 
 
 def constant_sset_map(f: PointedMap, trunc: int) -> SimplicialMap:
@@ -377,18 +397,9 @@ def smash_ssets(a: SimplicialSet, b: SimplicialSet) -> SimplicialSet:
     if a.trunc != b.trunc:
         raise MismatchError("smash: truncation mismatch")
     levels = tuple(pointed.smash_sets(p, q) for p, q in zip(a.levels, b.levels))
-    faces: list[tuple[PointedMap, ...]] = [()]
-    for k in range(1, a.trunc + 1):
-        faces.append(tuple(
-            pointed.smash_map(a.faces[k][i], b.faces[k][i]) for i in range(k + 1)
-        ))
-    degens: list[tuple[PointedMap, ...]] = []
-    for k in range(a.trunc):
-        degens.append(tuple(
-            pointed.smash_map(a.degens[k][i], b.degens[k][i]) for i in range(k + 1)
-        ))
-    degens.append(())
-    return SimplicialSet(a.trunc, levels, tuple(faces), tuple(degens))
+    return _assemble(a.trunc, levels,
+                     lambda k, i: pointed.smash_map(a.faces[k][i], b.faces[k][i]),
+                     lambda k, i: pointed.smash_map(a.degens[k][i], b.degens[k][i]))
 
 
 def smash_sset_maps(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
@@ -406,90 +417,31 @@ def smash_sset_maps(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
 def _assemble(trunc: int, levels: Sequence[PointedSet],
               face_for: Callable[[int, int], PointedMap],
               degen_for: Callable[[int, int], PointedMap]) -> SimplicialSet:
-    faces = [()] + [tuple(face_for(k, i) for i in range(k + 1)) for k in range(1, trunc + 1)]
-    degens = [tuple(degen_for(k, i) for i in range(k + 1)) for k in range(trunc)] + [()]
-    return SimplicialSet(trunc, tuple(levels), tuple(faces), tuple(degens))
+    return SimplicialSet(trunc, tuple(levels), *operator_rows(trunc, face_for, degen_for))
+
+
+def lift_ssets(cells: Sequence[CoconeResult], pieces: Sequence[SimplicialSet]) -> CoconeResult:
+    """The colimit of simplicial sets whose dimension-k colimit is cells[k]."""
+    trunc = len(cells) - 1
+    return pointed.lift(cells, pieces, SimplicialMap, lambda levels, induce: _assemble(
+        trunc, levels,
+        lambda k, i: induce(k, k - 1, [p.faces[k][i] for p in pieces]),
+        lambda k, i: induce(k, k + 1, [p.degens[k][i] for p in pieces]),
+    ))
 
 
 def wedge_ssets(parts: Sequence[SimplicialSet]) -> CoconeResult:
     trunc = parts[0].trunc
     if any(p.trunc != trunc for p in parts):
         raise MismatchError("wedge: truncation mismatch")
-    cones = [pointed.wedge([p.levels[k] for p in parts]) for k in range(trunc + 1)]
-    leg_tables = [[leg.table for leg in c.legs] for c in cones]
-
-    def induced(k: int, k_to: int, ops: Sequence[PointedMap]) -> PointedMap:
-        # the parts sit in order after the basepoint, so the induced table
-        # is each part's operator followed by its leg, concatenated
-        table = [0]
-        for legt, op in zip(leg_tables[k_to], ops):
-            table += map(legt.__getitem__, op.table[1:])
-        return PointedMap(cones[k].obj, cones[k_to].obj, tuple(table))
-
-    obj = _assemble(
-        trunc,
-        [c.obj for c in cones],
-        lambda k, i: induced(k, k - 1, [p.faces[k][i] for p in parts]),
-        lambda k, i: induced(k, k + 1, [p.degens[k][i] for p in parts]),
-    )
-    legs = tuple(
-        SimplicialMap(p, obj, tuple(cones[k].legs[j] for k in range(trunc + 1)))
-        for j, p in enumerate(parts)
-    )
-
-    def factor(competing: Sequence[SimplicialMap]) -> SimplicialMap:
-        cod = competing[0].cod
-        comps = tuple(
-            cones[k].factor([m.components[k] for m in competing])
-            for k in range(trunc + 1)
-        )
-        return SimplicialMap(obj, cod, comps)
-
-    return CoconeResult(obj=obj, legs=legs, factor=factor)
-
-
-def _class_representatives(q: tuple[int, ...]) -> list[int]:
-    """Least member of each class of a canonical quotient table, whose
-    classes are numbered in order of their least members."""
-    reps: list[int] = []
-    for i, c in enumerate(q):
-        if c == len(reps):
-            reps.append(i)
-    return reps
+    return lift_ssets([pointed.wedge([p.levels[k] for p in parts]) for k in range(trunc + 1)], parts)
 
 
 def coequalizer_ssets(f: SimplicialMap, g: SimplicialMap) -> CoconeResult:
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("coequalizer: not a parallel pair")
-    trunc = f.dom.trunc
-    y = f.cod
-    cones = [pointed.coequalizer(f.components[k], g.components[k]) for k in range(trunc + 1)]
-    quot = [c.legs[0].table for c in cones]
-    reps = [_class_representatives(q) for q in quot]
-
-    def induced(k: int, k_to: int, op: PointedMap) -> PointedMap:
-        # chase each class's least member through op and the quotient,
-        # then check that every member of the class lands in the same place
-        image = list(map(quot[k_to].__getitem__, op.table))
-        table = tuple(map(image.__getitem__, reps[k]))
-        if image != list(map(table.__getitem__, quot[k])):
-            raise MismatchError("coequalizer: an operator does not respect the quotient")
-        return PointedMap(cones[k].obj, cones[k_to].obj, table)
-
-    obj = _assemble(
-        trunc,
-        [c.obj for c in cones],
-        lambda k, i: induced(k, k - 1, y.faces[k][i]),
-        lambda k, i: induced(k, k + 1, y.degens[k][i]),
-    )
-    leg = SimplicialMap(y, obj, tuple(c.legs[0] for c in cones))
-
-    def factor(competing: Sequence[SimplicialMap]) -> SimplicialMap:
-        (m,) = competing
-        comps = tuple(cones[k].factor([m.components[k]]) for k in range(trunc + 1))
-        return SimplicialMap(obj, m.cod, comps)
-
-    return CoconeResult(obj=obj, legs=(leg,), factor=factor)
+    return lift_ssets([pointed.coequalizer(a, b) for a, b in zip(f.components, g.components)],
+                      [f.cod])
 
 
 def pushout_ssets(f: SimplicialMap, g: SimplicialMap) -> CoconeResult:
@@ -587,13 +539,8 @@ def validate_bisimplicial(b: BisimplicialSet) -> CheckReport:
 
 def constant_bisimplicial(s: SimplicialSet, htrunc: int) -> BisimplicialSet:
     ident = sset_identity(s)
-    return BisimplicialSet(
-        htrunc=htrunc,
-        vtrunc=s.trunc,
-        rows=(s,) * (htrunc + 1),
-        hfaces=((),) + tuple((ident,) * (k + 1) for k in range(1, htrunc + 1)),
-        hdegens=tuple((ident,) * (k + 1) for k in range(htrunc)) + ((),),
-    )
+    return BisimplicialSet(htrunc, s.trunc, (s,) * (htrunc + 1),
+                           *operator_rows(htrunc, lambda k, i: ident, lambda k, i: ident))
 
 
 def diagonal(b: BisimplicialSet) -> SimplicialSet:

@@ -35,6 +35,12 @@ tested as plain injectivity of latching maps, which is the pointed
 simplicial set case; the equivariant-cofibration variant needed for a
 general ambient category is not implemented.
 
+Colimits of spectra are formed levelwise (Hovey-Shipley-Smith 2000) by
+`lift_spectra`, the kernel's lifting (`pointed.lift`) over the level x
+dim grid: it induces the action generators cell by cell with
+`pointed.induced`, and the structure maps with `_induced_sigma`, which
+asserts them single-valued.
+
 Latching levels are shared by content.  Smashing over the sphere
 spectrum preserves colimits, so spectra with equal tables have equal
 latching levels.  spectral_latching therefore keeps, per content, one
@@ -75,6 +81,7 @@ from .simplicial import (
     TruncationError,
     circle,
     coequalizer_ssets,
+    commutation_failure,
     compose_sset_maps,
     is_iso_ssetmap,
     is_mono_ssetmap,
@@ -338,11 +345,11 @@ def validate_spectrum_map(f: SpectrumMap) -> CheckReport:
         rep = validate_sset_map(comp)
         if not rep.passed:
             return failed(prop, None, rep.failure_kind, f"component {m} is not simplicial")
-    for m in range(2, f.dom.strunc + 1):
-        for i, (gx, gy) in enumerate(zip(f.dom.gens[m], f.cod.gens[m])):
-            if compose_sset_maps(gx, f.components[m]).components != \
-               compose_sset_maps(f.components[m], gy).components:
-                return failed(prop, None, "equivariance", f"component {m} vs generator {i}")
+    bad = commutation_failure(f, compose_sset_maps, lambda a, b: a.components == b.components,
+                              (("generator", f.dom.gens, f.cod.gens, 0),))
+    if bad is not None:
+        _, m, i = bad
+        return failed(prop, None, "equivariance", f"component {m} vs generator {i}")
     for m in range(f.dom.strunc):
         lhs = compose_sset_maps(f.dom.sigmas[m], f.components[m + 1])
         rhs = compose_sset_maps(
@@ -621,20 +628,13 @@ def smash_over_s(a: SymSpectrum, b: SymSpectrum, n: int) -> SmashResult:
     t2 = day_tensor(a, b, n)
     u1, u2 = _triple_relation_maps(a, b, n, t2)
     co = coequalizer_ssets(u1, u2)
-    q = co.legs[0]
-    gens = tuple(co.factor([compose_sset_maps(g, q)]) for g in t2.gens)
-
-    members: list[dict[int, int]] = []
-    for k in range(t2.obj.trunc + 1):
-        least: dict[int, int] = {}
-        for i, c in enumerate(q.components[k].table):
-            least.setdefault(c, i)
-        members.append(least)
+    gens = tuple(pointed.induced(co, co, [g]) for g in t2.gens)
 
     def describe(k: int, idx: int) -> str:
-        return f"[{t2.describe(k, members[k][idx])}]"
+        # a class is named by its least member
+        return f"[{t2.describe(k, co.cells[k].reps[idx])}]"
 
-    return SmashResult(n=n, obj=co.obj, tensor=t2, quotient=q, gens=gens,
+    return SmashResult(n=n, obj=co.obj, tensor=t2, quotient=co.legs[0], gens=gens,
                        factor=co.factor, describe=describe)
 
 
@@ -909,13 +909,12 @@ def cofibrant_report(x: SymSpectrum, model: str) -> CheckReport:
 # colimits of spectra (levelwise, with induced structure)
 
 
-def _induced_sigma(n: int, d: int,
-                   pieces: Sequence[SymSpectrum],
-                   piece_legs_n: Sequence[SimplicialMap],
-                   piece_legs_n1: Sequence[SimplicialMap],
-                   obj_n: SimplicialSet, obj_n1: SimplicialSet) -> SimplicialMap:
-    """Structure map on a levelwise colimit, built by representative
+def _induced_sigma(n: int, d: int, pieces: Sequence[SymSpectrum],
+                   cone_n: CoconeResult, cone_n1: CoconeResult) -> SimplicialMap:
+    """Structure map at level n of a levelwise colimit whose levels n and
+    n+1 are the colimits cone_n and cone_n1, built by representative
     chasing with a full single-valuedness assertion."""
+    obj_n, obj_n1 = cone_n.obj, cone_n1.obj
     dom = smash_ssets(circle(d), obj_n)
     comps = []
     for k in range(d + 1):
@@ -924,8 +923,8 @@ def _induced_sigma(n: int, d: int,
         table = [-1] * pointed.smash_sets(ca, qn).size
         table[0] = 0
         for j, piece in enumerate(pieces):
-            leg_n = piece_legs_n[j].components[k]
-            leg_n1 = piece_legs_n1[j].components[k]
+            leg_n = cone_n.legs[j].components[k]
+            leg_n1 = cone_n1.legs[j].components[k]
             sig = piece.sigmas[n].components[k]
             pk = piece.levels[n].levels[k]
             for a in range(1, ca.size):
@@ -942,6 +941,23 @@ def _induced_sigma(n: int, d: int,
     return SimplicialMap(dom, obj_n1, tuple(comps))
 
 
+def lift_spectra(cells: Sequence[CoconeResult], pieces: Sequence[SymSpectrum]) -> CoconeResult:
+    """The colimit of spectra whose level-n colimit is the simplicial-set
+    colimit cells[n]: action generators are induced cell by cell,
+    structure maps by _induced_sigma."""
+    strunc, d = len(cells) - 1, pieces[0].dtrunc
+
+    def build(levels, induce):
+        gens = tuple(
+            tuple(induce(n, n, [p.gens[n][i] for p in pieces]) for i in range(max(0, n - 1)))
+            for n in range(strunc + 1)
+        )
+        sigmas = tuple(_induced_sigma(n, d, pieces, cells[n], cells[n + 1]) for n in range(strunc))
+        return SymSpectrum(strunc, d, tuple(levels), gens, sigmas)
+
+    return pointed.lift(cells, pieces, SpectrumMap, build)
+
+
 def wedge_spectra(parts: Sequence[SymSpectrum]) -> CoconeResult:
     return _wedge_spectra_cached(tuple(parts))
 
@@ -953,69 +969,16 @@ def _wedge_spectra_cached(parts: tuple[SymSpectrum, ...]) -> CoconeResult:
     strunc, d = parts[0].strunc, parts[0].dtrunc
     if any((p.strunc, p.dtrunc) != (strunc, d) for p in parts):
         raise MismatchError("wedge: truncation mismatch")
-    cones = [wedge_ssets([p.levels[n] for p in parts]) for n in range(strunc + 1)]
-    levels = tuple(c.obj for c in cones)
-    gens = tuple(
-        tuple(
-            cones[n].factor([
-                compose_sset_maps(p.gens[n][i], cones[n].legs[j]) for j, p in enumerate(parts)
-            ])
-            for i in range(max(0, n - 1))
-        )
-        for n in range(strunc + 1)
-    )
-    sigmas = tuple(
-        _induced_sigma(n, d, parts,
-                       [cones[n].legs[j] for j in range(len(parts))],
-                       [cones[n + 1].legs[j] for j in range(len(parts))],
-                       levels[n], levels[n + 1])
-        for n in range(strunc)
-    )
-    obj = SymSpectrum(strunc, d, levels, gens, sigmas)
-    legs = tuple(
-        SpectrumMap(p, obj, tuple(cones[n].legs[j] for n in range(strunc + 1)))
-        for j, p in enumerate(parts)
-    )
-
-    def factor(competing: Sequence[SpectrumMap]) -> SpectrumMap:
-        cod = competing[0].cod
-        return SpectrumMap(obj, cod, tuple(
-            cones[n].factor([m.components[n] for m in competing])
-            for n in range(strunc + 1)
-        ))
-
-    return CoconeResult(obj=obj, legs=legs, factor=factor)
+    return lift_spectra([wedge_ssets([p.levels[n] for p in parts]) for n in range(strunc + 1)],
+                        parts)
 
 
 def coequalizer_spectra(f: SpectrumMap, g: SpectrumMap) -> CoconeResult:
-    if f.dom is not g.dom and f.dom != g.dom:
+    # identity first: deep equality of spectra is costly
+    if (f.dom is not g.dom and f.dom != g.dom) or (f.cod is not g.cod and f.cod != g.cod):
         raise MismatchError("coequalizer: not a parallel pair")
-    y = f.cod
-    strunc, d = y.strunc, y.dtrunc
-    cones = [coequalizer_ssets(f.components[n], g.components[n]) for n in range(strunc + 1)]
-    levels = tuple(c.obj for c in cones)
-    gens = tuple(
-        tuple(
-            cones[n].factor([compose_sset_maps(y.gens[n][i], cones[n].legs[0])])
-            for i in range(max(0, n - 1))
-        )
-        for n in range(strunc + 1)
-    )
-    sigmas = tuple(
-        _induced_sigma(n, d, [y], [cones[n].legs[0]], [cones[n + 1].legs[0]],
-                       levels[n], levels[n + 1])
-        for n in range(strunc)
-    )
-    obj = SymSpectrum(strunc, d, levels, gens, sigmas)
-    leg = SpectrumMap(y, obj, tuple(c.legs[0] for c in cones))
-
-    def factor(competing: Sequence[SpectrumMap]) -> SpectrumMap:
-        (m,) = competing
-        return SpectrumMap(obj, m.cod, tuple(
-            cones[n].factor([m.components[n]]) for n in range(strunc + 1)
-        ))
-
-    return CoconeResult(obj=obj, legs=(leg,), factor=factor)
+    return lift_spectra([coequalizer_ssets(a, b) for a, b in zip(f.components, g.components)],
+                        [f.cod])
 
 
 def pushout_spectra(f: SpectrumMap, g: SpectrumMap) -> CoconeResult:

@@ -17,7 +17,7 @@ from latchcheck.documents import (
 from latchcheck.pointed import PointedMap, PointedSet
 from latchcheck.reedy import constant_simplicial_spectrum
 from latchcheck.simplicial import circle, sphere, sset_identity
-from latchcheck.spectra import bar_s, bar_to_sphere, sphere_spectrum
+from latchcheck.spectra import bar_s, bar_to_sphere, sphere_spectrum, zero_spectrum
 
 
 ROUND_TRIP_CASES = [
@@ -121,3 +121,21 @@ class TestErrors:
         with pytest.raises(DocumentError) as err:
             parse_document(doc)
         assert "D=1000000" in str(err.value)
+
+    def test_spectrum_beyond_the_sphere_cell_budget_is_refused(self):
+        # validating a spectrum builds sphere(p, D), with k**p cells in
+        # dimension k, for every p <= N; N=30, D=4 would ask for about
+        # 10**18 cells, so the parser refuses the document up front
+        with pytest.raises(DocumentError) as err:
+            loads(dumps(zero_spectrum(30, 4), name="deep"))
+        assert "N=30, D=4" in str(err.value)
+
+    def test_sphere_cell_budget_keeps_headroom_over_the_builtins(self):
+        # bar-s, the largest builtin spectrum (N=3, D=4), needs 130 cells
+        import latchcheck.documents as documents
+
+        assert documents.sphere_cells(3, 4) == 130
+        assert documents.SPHERE_CELL_BUDGET >= 10 * 130
+        assert loads(dumps(zero_spectrum(7, 3))) == zero_spectrum(7, 3)
+        with pytest.raises(DocumentError):
+            loads(dumps(zero_spectrum(8, 3)))

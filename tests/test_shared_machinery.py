@@ -1,12 +1,15 @@
 """The machinery shared across ambients: the simplicial-identity checker
-behind every validator, and the congruence closure behind the quotient
-generators.
+behind every validator, the map-commutation checker behind every map
+validator, the congruence closure behind the quotient generators, and
+the levelwise quotient of spectra.
 
 Each identity family is broken on purpose in a simplicial set, a
 bisimplicial set and a simplicial spectrum, by replacing one operator of
 a constant object with an involution; the reports must name the family
-and the indices exactly.  The quotient generators are pinned by sha256
-of their output on seeds that take the quotient path.
+and the indices exactly.  Each commutation family is broken in the same
+way at every layer whose maps it applies to.  The quotient generators
+are pinned by sha256 of their output on seeds that take the quotient
+path.
 """
 from __future__ import annotations
 
@@ -21,22 +24,38 @@ from latchcheck.documents import dumps
 from latchcheck.pointed import MismatchError, PointedMap, PointedSet, compose, identity
 from latchcheck.reedy import (
     SimplicialSpectrum,
+    SimplicialSpectrumMap,
     constant_simplicial_spectrum,
     from_zero_simplicial,
     pointwise_cofiber,
     validate_simplicial_spectrum,
+    validate_simplicial_spectrum_map,
 )
 from latchcheck.simplicial import (
     BisimplicialSet,
+    SimplicialMap,
     SimplicialSet,
+    compose_sset_maps,
     constant_bisimplicial,
     constant_sset,
     constant_sset_map,
     identity_failure,
+    sset_identity,
     validate_bisimplicial,
     validate_sset,
+    validate_sset_map,
 )
-from latchcheck.spectra import sphere_spectrum, wedge_spectra
+from latchcheck.spectra import (
+    SpectrumMap,
+    SymSpectrum,
+    coequalizer_spectra,
+    spectrum_identity,
+    spectrum_zero_map,
+    sphere_spectrum,
+    validate_spectrum,
+    validate_spectrum_map,
+    wedge_spectra,
+)
 
 # Which operator is replaced by the involution, and where the first
 # failure then sits: (family, k, i, j).
@@ -207,3 +226,98 @@ class TestQuotientGeneratorsPinned:
         b = generators.gen_bisimplicial(random.Random(seed), 3, 3)
         assert calls, "seed no longer takes the quotient path"
         assert _sha(_bisimplicial_tables(b)) == BISIMPLICIAL_PINS[seed]
+
+
+# ---------------------------------------------------------------------------
+# map commutation: one broken component (or operator) per family and layer
+
+
+def _swap_of_wedge(x):
+    cone = wedge_spectra([x, x])
+    return cone, cone.factor([cone.legs[1], cone.legs[0]])
+
+
+def _degeneracy_breaking_sset() -> tuple[SimplicialSet, PointedMap]:
+    """A vertex a with its degenerate edge s0(a) and a loop b at a, and the
+    swap of s0(a) and b, which commutes with both faces but not with s0."""
+    v, e = PointedSet(2), PointedSet(3)
+    fold = PointedMap(e, v, (0, 1, 1))
+    s = SimplicialSet(1, (v, e), ((), (fold, fold)), ((PointedMap(v, e, (0, 1)),), ()))
+    return s, PointedMap(e, e, (0, 2, 1))
+
+
+class TestBrokenCommutation:
+    def test_simplicial_map_face(self):
+        s = constant_sset(_P, 2)
+        f = SimplicialMap(s, s, (identity(_P), _SIGMA, identity(_P)))
+        rep = validate_sset_map(f)
+        assert not rep.passed and rep.failure_kind == "face-commutation"
+        assert rep.detail == "component 1 vs face 0"
+
+    def test_simplicial_map_degeneracy(self):
+        s, swap = _degeneracy_breaking_sset()
+        rep = validate_sset_map(SimplicialMap(s, s, (identity(s.levels[0]), swap)))
+        assert not rep.passed and rep.failure_kind == "degeneracy-commutation"
+        assert rep.detail == "component 0 vs degeneracy 0"
+
+    def test_spectrum_map_equivariance(self):
+        # the identity into a copy of S whose level-2 generator is trivial
+        x = sphere_spectrum(2, 2)
+        trivial = (x.gens[0], x.gens[1], (sset_identity(x.levels[2]),))
+        y = SymSpectrum(x.strunc, x.dtrunc, x.levels, trivial, x.sigmas)
+        rep = validate_spectrum_map(SpectrumMap(x, y, spectrum_identity(x).components))
+        assert not rep.passed and rep.failure_kind == "equivariance"
+        assert rep.detail == "component 2 vs generator 0"
+
+    def test_simplicial_spectrum_map_face(self):
+        cone, swap = _swap_of_wedge(sphere_spectrum(1, 1))
+        x = constant_simplicial_spectrum(cone.obj, 2)
+        ident = spectrum_identity(cone.obj)
+        rep = validate_simplicial_spectrum_map(SimplicialSpectrumMap(x, x, (ident, swap, ident)))
+        assert not rep.passed and rep.failure_kind == "face-commutation"
+        assert rep.detail == "component 1 vs face 0"
+
+    def test_simplicial_spectrum_map_degeneracy(self):
+        # S at degree 0, S v S at degree 1 with the fold as both faces and
+        # the first leg as degeneracy; the swap of the summands commutes
+        # with the fold but not with the leg
+        s = sphere_spectrum(1, 1)
+        cone, swap = _swap_of_wedge(s)
+        fold = cone.factor([spectrum_identity(s), spectrum_identity(s)])
+        x = SimplicialSpectrum(1, (s, cone.obj), ((), (fold, fold)), ((cone.legs[0],), ()))
+        f = SimplicialSpectrumMap(x, x, (spectrum_identity(s), swap))
+        rep = validate_simplicial_spectrum_map(f)
+        assert not rep.passed and rep.failure_kind == "degeneracy-commutation"
+        assert rep.detail == "component 0 vs degeneracy 0"
+
+
+# ---------------------------------------------------------------------------
+# quotients of spectra
+
+
+class TestSpectrumQuotients:
+    def test_coequalizer_rejects_a_pair_with_different_codomains(self):
+        # w2 has w's levels and generators, but each sigma is followed by
+        # the summand swap, so the two maps out of w are not parallel
+        cone, swap = _swap_of_wedge(sphere_spectrum(2, 2))
+        w = cone.obj
+        sigmas = tuple(compose_sset_maps(sig, swap.components[n + 1]) for n, sig in enumerate(w.sigmas))
+        w2 = SymSpectrum(w.strunc, w.dtrunc, w.levels, w.gens, sigmas)
+        assert w2 != w
+        with pytest.raises(MismatchError):
+            coequalizer_spectra(spectrum_identity(w), SpectrumMap(w, w2, spectrum_identity(w).components))
+
+    def test_coequalizer_rejects_a_generator_that_does_not_descend(self):
+        # collapse the first summand of S v S, where the level-2 generator
+        # also swaps the summands, so it carries the collapsed summand onto
+        # the other one
+        s = sphere_spectrum(2, 2)
+        cone, swap = _swap_of_wedge(s)
+        w = cone.obj
+        gens = w.gens[:2] + ((compose_sset_maps(w.gens[2][0], swap.components[2]),),)
+        y = SymSpectrum(w.strunc, w.dtrunc, w.levels, gens, w.sigmas)
+        leg = SpectrumMap(s, y, cone.legs[0].components)
+        with pytest.raises(MismatchError):
+            coequalizer_spectra(leg, spectrum_zero_map(s, y))
+        # with w's own, diagonal action the same collapse is well defined
+        assert validate_spectrum(coequalizer_spectra(cone.legs[0], spectrum_zero_map(s, w)).obj).passed
