@@ -389,6 +389,17 @@ def cmd_selftest(args) -> int:
     return EXIT_PASS if all(s.passed for s in summaries) else EXIT_FAIL
 
 
+def _case_count(text: str) -> int:
+    """A nonnegative case count; argparse turns the error into exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"--cases must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latchcheck",
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(set(SUITE_ALIASES)),
                    help="one suite (default: all)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cases", type=int, default=None,
+    p.add_argument("--cases", type=_case_count, default=None,
                    help="cases per suite (defaults per suite)")
     p.add_argument("--strategy", choices=("structured-good", "rejection", "adversarial"),
                    default="structured-good")

@@ -243,8 +243,8 @@ def _congruence(rng: random.Random, grid: Sequence[Sequence[PointedSet]], n_seed
     cell, then two of its elements.  The result holds the canonical
     quotient map of every cell, indexed like the grid.
     """
-    uf = {(a, l): pointed._UnionFind(p.size) for a, row in enumerate(grid) for l, p in enumerate(row)}
-    ops = {key: images(*key) for key in uf}
+    parent = {(a, l): list(range(p.size)) for a, row in enumerate(grid) for l, p in enumerate(row)}
+    ops = {key: images(*key) for key in parent}
     work = []
     for _ in range(n_seeds):
         a = rng.randint(0, len(grid) - 1)
@@ -255,17 +255,12 @@ def _congruence(rng: random.Random, grid: Sequence[Sequence[PointedSet]], n_seed
         work.append((a, l, rng.randrange(size), rng.randrange(size)))
     while work:
         a, l, x, y = work.pop()
-        u = uf[(a, l)]
-        if u.find(x) == u.find(y):
+        if not pointed.union(parent[(a, l)], x, y):
             continue
-        u.union(x, y)
         for (a2, l2), table in ops[(a, l)]:
             work.append((a2, l2, table[x], table[y]))
-    return [
-        [pointed.quotient_by_pairs(p, [(i, uf[(a, l)].find(i)) for i in range(p.size)])
-         for l, p in enumerate(row)]
-        for a, row in enumerate(grid)
-    ]
+    return [[pointed.quotient_of(p, parent[(a, l)]) for l, p in enumerate(row)]
+            for a, row in enumerate(grid)]
 
 
 def _sset_images(s: SimplicialSet, a: int, l: int) -> list:

@@ -13,21 +13,42 @@ Conventions, fixed once:
 
 Optional labels are witness decoration only; they never participate in
 equality.
+
+Every table type here and in `simplicial` and `spectra` computes its hash
+once, on first use, into a declared field (`_h`) that takes no part in
+equality, repr or documents.  The value is the one a frozen dataclass
+would generate, the hash of the tuple of compare fields, so no set or
+dict order depends on the caching.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class MismatchError(ValueError):
     """Domain/codomain (or truncation) mismatch between composed pieces."""
 
 
+def stored_hash(obj, key: tuple) -> int:
+    """Store hash(key) in obj._h and return it.  key is obj's tuple of
+    compare fields, so the value is the hash a frozen dataclass generates."""
+    h = hash(key)
+    object.__setattr__(obj, "_h", h)
+    return h
+
+
 @dataclass(frozen=True)
 class PointedSet:
     size: int
     labels: tuple[str, ...] | None = field(default=None, compare=False)
+    _h: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._h
+        if h is None:
+            h = stored_hash(self, (self.size,))
+        return h
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -49,6 +70,13 @@ class PointedMap:
     dom: PointedSet
     cod: PointedSet
     table: tuple[int, ...]
+    _h: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._h
+        if h is None:
+            h = stored_hash(self, (self.dom, self.cod, self.table))
+        return h
 
     def __post_init__(self) -> None:
         if len(self.table) != self.dom.size:
@@ -77,9 +105,11 @@ def zero_map(a: PointedSet, b: PointedSet) -> PointedMap:
 
 def compose(f: PointedMap, g: PointedMap) -> PointedMap:
     """f followed by g: result.table[i] = g.table[f.table[i]]."""
-    if f.cod != g.dom:
+    # identity first: the common case, and it skips the generated __eq__
+    if f.cod is not g.dom and f.cod != g.dom:
         raise MismatchError("compose: f.cod != g.dom")
-    return PointedMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    gt = g.table
+    return PointedMap(f.dom, g.cod, tuple([gt[v] for v in f.table]))
 
 
 def mono_witness(f: PointedMap) -> tuple[int, int] | None:
@@ -262,44 +292,53 @@ def smash_map(f: PointedMap, g: PointedMap) -> PointedMap:
     return PointedMap(dom, cod, tuple(table))
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def union(parent: list[int], x: int, y: int) -> bool:
+    """Merge the classes of x and y in a flat union-find; False when they
+    were already one class.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+    The least member of a class is its root, so parent[i] <= i always.
+    find is inlined, with path halving; the chained assignment binds
+    parent[x] before x.
+    """
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    while parent[y] != y:
+        parent[y] = y = parent[parent[y]]
+    if x == y:
+        return False
+    if x < y:
+        parent[y] = x
+    else:
+        parent[x] = y
+    return True
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        # the least index of a class stays its representative
-        if ri < rj:
-            self.parent[rj] = ri
+def quotient_of(target: PointedSet, parent: list[int]) -> PointedMap:
+    """The canonical quotient map of a union-find over target, in one
+    ascending pass: a root opens the next class, and any other element
+    joins its parent's class, already numbered since parent[i] < i."""
+    table = [0] * len(parent)
+    k = 0
+    for i, p in enumerate(parent):
+        if p == i:
+            table[i] = k
+            k += 1
         else:
-            self.parent[ri] = rj
+            table[i] = table[p]
+    return PointedMap(target, PointedSet(k), tuple(table))
 
 
-def quotient_by_pairs(target: PointedSet, pairs: Sequence[tuple[int, int]]) -> PointedMap:
+def quotient_by_pairs(target: PointedSet, pairs: Iterable[tuple[int, int]]) -> PointedMap:
     """Canonical quotient of target by the relation generated by pairs.
 
     Classes are relabelled by least representative, ascending, so the
     basepoint class is index 0.
     """
-    uf = _UnionFind(target.size)
+    parent = list(range(target.size))
     for x, y in pairs:
-        uf.union(x, y)
-    roots = sorted({uf.find(i) for i in range(target.size)})
-    index_of_root = {r: k for k, r in enumerate(roots)}
-    table = tuple(index_of_root[uf.find(i)] for i in range(target.size))
-    return PointedMap(target, PointedSet(len(roots)), table)
+        if x != y:
+            union(parent, x, y)
+    return quotient_of(target, parent)
 
 
 def quotient(q: PointedMap) -> CoconeResult:
@@ -331,7 +370,7 @@ def coequalizer(f: PointedMap, g: PointedMap) -> CoconeResult:
     """Coequalizer of a parallel pair, computed by union-find."""
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("coequalizer: maps are not a parallel pair")
-    return quotient(quotient_by_pairs(f.cod, list(zip(f.table, g.table))))
+    return quotient(quotient_by_pairs(f.cod, zip(f.table, g.table)))
 
 
 def induced(src: CoconeResult, dst: CoconeResult, ops: Sequence) -> object:
@@ -353,12 +392,14 @@ def induced(src: CoconeResult, dst: CoconeResult, ops: Sequence) -> object:
         # the parts sit in order after the basepoint
         table = [0]
         for leg, op in zip(dst.legs, ops):
-            table += map(leg.table.__getitem__, op.table[1:])
+            lt = leg.table
+            table += [lt[v] for v in op.table[1:]]
         return PointedMap(src.obj, dst.obj, tuple(table))
     (op,) = ops
-    image = list(map(dst.legs[0].table.__getitem__, op.table))
-    table = tuple(map(image.__getitem__, src.reps))
-    if image != list(map(table.__getitem__, src.legs[0].table)):
+    qt = dst.legs[0].table
+    image = [qt[v] for v in op.table]
+    table = tuple([image[r] for r in src.reps])
+    if image != [table[c] for c in src.legs[0].table]:
         raise MismatchError("coequalizer: an operator does not respect the quotient")
     return PointedMap(src.obj, dst.obj, table)
 

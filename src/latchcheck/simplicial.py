@@ -24,7 +24,7 @@ simplicial-spectrum maps.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -37,6 +37,7 @@ from .pointed import (
     compose,
     identity,
     mono_witness,
+    stored_hash,
     zero_map,
 )
 from .reports import CheckReport, Witness, failed, passed
@@ -52,6 +53,13 @@ class SimplicialSet:
     levels: tuple[PointedSet, ...]
     faces: tuple[tuple[PointedMap, ...], ...]
     degens: tuple[tuple[PointedMap, ...], ...]
+    _h: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._h
+        if h is None:
+            h = stored_hash(self, (self.trunc, self.levels, self.faces, self.degens))
+        return h
 
     def __post_init__(self) -> None:
         d = self.trunc
@@ -84,6 +92,13 @@ class SimplicialMap:
     dom: SimplicialSet
     cod: SimplicialSet
     components: tuple[PointedMap, ...]
+    _h: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._h
+        if h is None:
+            h = stored_hash(self, (self.dom, self.cod, self.components))
+        return h
 
     def __post_init__(self) -> None:
         if self.dom.trunc != self.cod.trunc:

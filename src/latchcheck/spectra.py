@@ -19,7 +19,11 @@ oracle rather than by matching any particular sign convention):
   and (p,q)-shuffles as coset representatives, with the full group
   acting by shuffle recoset plus the residual action on the factors;
 * the smash over the sphere spectrum coequalizes the two evident maps
-  from (A ⊗ S ⊗ B)(n) into (A ⊗ B)(n).
+  from (A ⊗ S ⊗ B)(n) into (A ⊗ B)(n).  Only the summands whose middle
+  block is the circle S¹ are built: S is the free commutative monoid on
+  S¹ (Hovey-Shipley-Smith 2000), so they generate the whole relation
+  (see _triple_relation_maps, whose every_block argument builds every
+  middle block as a test oracle).
 
 The spectral latching object of X at level n is the smash of the
 truncated sphere spectrum (point at level 0) with X, taken at level n.
@@ -73,7 +77,7 @@ from .perms import (
     multi_shuffles,
     shuffles,
 )
-from .pointed import CoconeResult, MismatchError, PointedMap, identity, zero_map
+from .pointed import CoconeResult, MismatchError, PointedMap, identity, stored_hash, zero_map
 from .reports import CheckReport, Witness, failed, passed
 from .simplicial import (
     SimplicialMap,
@@ -108,6 +112,13 @@ class SymSpectrum:
     gens: tuple[tuple[SimplicialMap, ...], ...]
     sigmas: tuple[SimplicialMap, ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _h: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._h
+        if h is None:
+            h = stored_hash(self, (self.strunc, self.dtrunc, self.levels, self.gens, self.sigmas))
+        return h
 
     def __post_init__(self) -> None:
         n, d = self.strunc, self.dtrunc
@@ -531,25 +542,28 @@ class SmashResult:
 
 
 def _triple_relation_maps(a: SymSpectrum, b: SymSpectrum, n: int,
-                          t2: TensorResult,
-                          include_unit_summands: bool = False
+                          t2: TensorResult, every_block: bool = False
                           ) -> tuple[SimplicialMap, SimplicialMap]:
     """The two maps (A ⊗ S ⊗ B)(n) ⇉ (A ⊗ B)(n): right action on A and
     left action on B, reindexed through shuffle factorization.
 
-    Summands with an empty middle block contribute equal maps on both
-    sides (both actions are the smash unit and the shuffle refactors to
-    the same target), so they are omitted unless include_unit_summands
-    is set; the equality is covered by a test.
+    Only the summands whose middle block is the circle S¹ (q = 1) are
+    built, since they generate the same relation as all of them.  The
+    sphere spectrum is the free commutative monoid on S¹ (Hovey-Shipley-
+    Smith 2000), so a q-letter relation is a chain of q one-letter
+    relations: on B's side through iterated_sigma, which peels one circle
+    at a time, and on A's side through the associativity of A's action.
+    Summands with an empty middle block (q = 0) contribute equal maps on
+    both sides, as both actions are the smash unit.  every_block builds
+    every middle block q = 0..n instead; it is the oracle that tests
+    compare the reduced relation against.
     """
     d = a.dtrunc
     plan: list[tuple[int, int, int, Perm]] = []
     block3: dict[tuple[int, int], SimplicialSet] = {}
     for p in range(n + 1):
-        for q in range(n - p + 1):
+        for q in range(n - p + 1) if every_block else (1,) if p < n else ():
             r = n - p - q
-            if q == 0 and not include_unit_summands:
-                continue
             block3[(p, q)] = smash_ssets(a.levels[p], smash_ssets(sphere(q, d), b.levels[r]))
             for delta in multi_shuffles((p, q, r)):
                 plan.append((p, q, r, delta))
@@ -622,8 +636,11 @@ def _triple_relation_maps(a: SymSpectrum, b: SymSpectrum, n: int,
 def smash_over_s(a: SymSpectrum, b: SymSpectrum, n: int) -> SmashResult:
     """Level n of the smash of two spectra over the sphere spectrum.
 
-    Not memoized: its two callers, unit_oracle and the latching
-    computation, each keep their own result in b._cache.
+    The tensor is coequalized by the relation of the one-letter (S¹)
+    summands of (A ⊗ S ⊗ B)(n), which generate the relation of all of
+    them (see _triple_relation_maps).  Not memoized: its two callers,
+    unit_oracle and the latching computation, each keep their own result
+    in b._cache.
     """
     t2 = day_tensor(a, b, n)
     u1, u2 = _triple_relation_maps(a, b, n, t2)

@@ -289,6 +289,8 @@ def run_suite(suite: str, seed: int = 1, cases: int | None = None,
     if name is None:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(set(SUITE_ALIASES))}")
     cases = cases if cases is not None else DEFAULT_CASES[name]
+    if cases < 0:
+        raise ValueError(f"cases must be nonnegative, got {cases}")
     if name == "lemmas":
         return run_lemmas_suite(seed, cases)
     return run_theorem_suite(name, seed, cases, strategy=strategy)

@@ -240,6 +240,11 @@ class TestSelftest:
         proc = run_cli("selftest", "--suite", "3.2", "--seed", "2", "--cases", "2", expect=0)
         assert "2/2 passed" in proc.stdout
 
+    @pytest.mark.parametrize("suite,cases", [("1.4", "-2"), ("4.2", "-3"), ("lemmas", "-1")])
+    def test_negative_case_count_is_input_error(self, suite, cases):
+        proc = run_cli("selftest", "--suite", suite, "--cases", cases, expect=2)
+        assert "nonnegative" in proc.stderr and "passed" not in proc.stdout
+
     def test_descriptive_alias_accepted(self):
         run_cli("selftest", "--suite", "good-reedy-flat", "--seed", "2", "--cases", "1", expect=0)
 

@@ -8,6 +8,13 @@ are generated spectra (some of them quotients), wedges of two good
 simplicial spectra at the truncation of a 4.2 case, the thm14-demo
 builtin, and the truncated sphere spectrum.
 
+The latching pins cover every level of every degree of good-demo and of
+both ends of thm14-demo, and of three generated spectra at N = 3, D = 4:
+the comparison map nu and the describe text of every latching class.
+The unit-oracle pins cover both maps of the unit bijection of bar-s.
+They were computed before the smash over S coequalized only the
+one-letter relations.
+
 The digests are computed in a fresh interpreter.  The memos of the
 generators return a spectrum equal by content to one built earlier in
 the process, and equality ignores labels while documents carry them, so
@@ -36,6 +43,7 @@ from latchcheck.spectra import (
     pushout_spectra,
     spectral_latching,
     spectrum_zero_map,
+    unit_oracle,
     wedge_spectra,
 )
 
@@ -81,12 +89,63 @@ BAR_S_NU_PINS = (
 )
 
 
+GEN_LATCHING_SEEDS = (0, 1, 7)
+LATCHING_PINS = {
+    "good-demo": (
+        "614cfd4e02050c4214771dad7e91344c5a851b6e50fac6e8952ea12c33789b2b",
+        "614cfd4e02050c4214771dad7e91344c5a851b6e50fac6e8952ea12c33789b2b",
+        "614cfd4e02050c4214771dad7e91344c5a851b6e50fac6e8952ea12c33789b2b",
+        "614cfd4e02050c4214771dad7e91344c5a851b6e50fac6e8952ea12c33789b2b",
+    ),
+    "thm14-demo-dom": (
+        "3beb2eef47803311473e541e47920b58dd1bafb6e5c7ffc547adf9e8185e8def",
+        "3beb2eef47803311473e541e47920b58dd1bafb6e5c7ffc547adf9e8185e8def",
+        "3beb2eef47803311473e541e47920b58dd1bafb6e5c7ffc547adf9e8185e8def",
+        "f29eafa1c783abc00810535679ed82cfd2eece328afb4a2b9b558b2f16c2429f",
+    ),
+    "thm14-demo-cod": (
+        "95b64745384fbc1eae3c28c8c7fefb008b7b50a2c6f65a0416d41dbfa099f2bf",
+        "95b64745384fbc1eae3c28c8c7fefb008b7b50a2c6f65a0416d41dbfa099f2bf",
+        "95b64745384fbc1eae3c28c8c7fefb008b7b50a2c6f65a0416d41dbfa099f2bf",
+        "86094387aaaff4081e0f87e79882e74aaafac4617dcfdc199e82a5d6334ad247",
+    ),
+    "gen-0": (
+        "f74f8334e3a07d92c4e8a3ccf995d1020a600e6d26397f9409b19d65ec1c8fed",
+    ),
+    "gen-1": (
+        "2640eb3cf2fc82d2e3ff26d71324f584e214f75208377e8b7914c0e1154fc214",
+    ),
+    "gen-7": (
+        "b2da16506090e57302692b00cd0919b29af04f744ae1defab8a68019fc971c63",
+    ),
+}
+BAR_S_UNIT_PINS = (
+    "8bbe71b735855fd53802ae240a90fe84567aeaec00d7b69fe1214a4da224bc2b",
+    "3d87b778dd5a7f521d6ec60e4f003b9e16ccdb0a66633e7b0f9896db41ba1cf1",
+    "beb8584b8ff5c09001838b055cbdf77a269fd0d0b5bfccb3809252fa5f3b6748",
+    "770b8d042f9f4019677bdb45fec7b68f50c815f6db14d66a5cf6d2144773a2b6",
+)
+
+
 def _sha(*objs) -> str:
     return hashlib.sha256("".join(dumps(o) for o in objs).encode()).hexdigest()
 
 
 def _cocone_sha(cone) -> str:
     return _sha(cone.obj, *cone.legs)
+
+
+def _latching_sha(x) -> str:
+    """One digest over every latching level of x: nu, then the describe
+    text of each class, dimension by dimension."""
+    h = hashlib.sha256()
+    for n in range(x.strunc + 1):
+        lat = spectral_latching(x, n)
+        h.update(dumps(lat.nu).encode())
+        for k, lvl in enumerate(lat.obj.levels):
+            for i in range(lvl.size):
+                h.update(f"{n} {k} {i} {lat.describe(k, i)}\n".encode())
+    return h.hexdigest()
 
 
 def digests() -> dict:
@@ -115,6 +174,16 @@ def digests() -> dict:
     out["cofiber"] = _sha(*pointwise_cofiber(f))
     b = bar_s(3, 4)
     out["nu"] = [_sha(spectral_latching(b, n).nu) for n in range(b.strunc + 1)]
+    out["unit"] = [_sha(unit_oracle(b, n).into, unit_oracle(b, n).back)
+                   for n in range(b.strunc + 1)]
+    g, f = builtin("good-demo"), builtin("thm14-demo")
+    out["latching"] = {
+        "good-demo": [_latching_sha(x) for x in g.degrees],
+        "thm14-demo-dom": [_latching_sha(x) for x in f.dom.degrees],
+        "thm14-demo-cod": [_latching_sha(x) for x in f.cod.degrees],
+    }
+    for seed in GEN_LATCHING_SEEDS:
+        out["latching"][f"gen-{seed}"] = [_latching_sha(gen_spectrum(random.Random(seed), 3, 4))]
     return out
 
 
@@ -145,6 +214,15 @@ def test_realization_and_cofiber_of_thm14_demo(fresh):
 
 def test_latching_comparison_maps_of_bar_s(fresh):
     assert tuple(fresh["nu"]) == BAR_S_NU_PINS
+
+
+def test_unit_oracle_of_bar_s(fresh):
+    assert tuple(fresh["unit"]) == BAR_S_UNIT_PINS
+
+
+@pytest.mark.parametrize("name", sorted(LATCHING_PINS))
+def test_latching_levels_and_class_names(name, fresh):
+    assert tuple(fresh["latching"][name]) == LATCHING_PINS[name]
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from latchcheck.pointed import (
     mono_witness,
     pullback,
     pushout,
+    quotient_by_pairs,
     smash_index,
     smash_map,
     smash_sets,
@@ -258,3 +259,51 @@ class TestPushoutOverPullbackLemma:
                             po = pushout(pb.proj1, pb.proj2)
                             med = po.factor([f1, f2])
                             assert is_mono(med), (f1.table, f2.table)
+
+
+def closure_classes(size, pairs):
+    """The classes of the equivalence relation generated by pairs, by naive
+    fixpoint iteration over the class of every element."""
+    cls = [{i} for i in range(size)]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in pairs:
+            if cls[x] is not cls[y]:
+                merged = cls[x] | cls[y]
+                for i in merged:
+                    cls[i] = merged
+                changed = True
+    return cls
+
+
+class TestQuotientByPairs:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_closure(self, data):
+        size = data.draw(st.integers(min_value=1, max_value=12))
+        elem = st.integers(min_value=0, max_value=size - 1)
+        # self-pairs and pairs with the basepoint are drawn too
+        pairs = data.draw(st.lists(st.tuples(elem, elem), max_size=20))
+        q = quotient_by_pairs(PointedSet(size), pairs)
+        cls = closure_classes(size, pairs)
+        least = sorted({min(c) for c in cls})
+        assert q.cod.size == len(least)
+        assert q.table == tuple(least.index(min(cls[i])) for i in range(size))
+
+    def test_deep_chains(self):
+        # descending links build a path n-1 -> n-2 -> ... -> 1, so the
+        # finds of the last pair halve through grandparents that are not roots
+        for n in range(3, 10):
+            chain = [(i, i + 1) for i in reversed(range(1, n - 1))]
+            for last in ((n - 1, n), (n, n - 1), (n - 1, 0), (0, n - 1)):
+                pairs = chain + [last]
+                q = quotient_by_pairs(PointedSet(n + 1), pairs)
+                cls = closure_classes(n + 1, pairs)
+                least = sorted({min(c) for c in cls})
+                assert q.table == tuple(least.index(min(cls[i])) for i in range(n + 1)), pairs
+
+    def test_self_pairs_and_basepoint_pairs(self):
+        q = quotient_by_pairs(PointedSet(5), [(3, 3), (4, 0), (2, 2)])
+        assert q.table == (0, 1, 2, 3, 0)
+        assert quotient_by_pairs(PointedSet(4), iter([(3, 1)])).table == (0, 1, 2, 1)

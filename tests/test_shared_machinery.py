@@ -9,10 +9,13 @@ a constant object with an involution; the reports must name the family
 and the indices exactly.  Each commutation family is broken in the same
 way at every layer whose maps it applies to.  The quotient generators
 are pinned by sha256 of their output on seeds that take the quotient
-path.
+path.  The five table types hash once: the stored value must be the hash
+a frozen dataclass generates, and stay out of equality, repr and
+documents.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -20,7 +23,7 @@ import random
 import pytest
 
 from latchcheck import generators
-from latchcheck.documents import dumps
+from latchcheck.documents import dumps, loads
 from latchcheck.pointed import MismatchError, PointedMap, PointedSet, compose, identity
 from latchcheck.reedy import (
     SimplicialSpectrum,
@@ -321,3 +324,70 @@ class TestSpectrumQuotients:
             coequalizer_spectra(leg, spectrum_zero_map(s, y))
         # with w's own, diagonal action the same collapse is well defined
         assert validate_spectrum(coequalizer_spectra(cone.legs[0], spectrum_zero_map(s, w)).obj).passed
+
+
+def _relabelled(x, tag):
+    """A separately built copy of x, through its document, whose pointed
+    sets carry the labels tag1, tag2, ..."""
+    def pset(p):
+        return PointedSet(p.size, ("*",) + tuple(f"{tag}{i}" for i in range(1, p.size)))
+
+    def pmap(m):
+        return PointedMap(pset(m.dom), pset(m.cod), m.table)
+
+    def sset(a):
+        return SimplicialSet(a.trunc, tuple(map(pset, a.levels)),
+                             tuple(tuple(map(pmap, row)) for row in a.faces),
+                             tuple(tuple(map(pmap, row)) for row in a.degens))
+
+    def smap(f):
+        return SimplicialMap(sset(f.dom), sset(f.cod), tuple(map(pmap, f.components)))
+
+    x = loads(dumps(x))
+    if isinstance(x, PointedSet):
+        return pset(x)
+    if isinstance(x, PointedMap):
+        return pmap(x)
+    if isinstance(x, SimplicialSet):
+        return sset(x)
+    if isinstance(x, SimplicialMap):
+        return smap(x)
+    return SymSpectrum(x.strunc, x.dtrunc, tuple(map(sset, x.levels)),
+                       tuple(tuple(map(smap, fam)) for fam in x.gens), tuple(map(smap, x.sigmas)))
+
+
+_LABELLED = PointedSet(3, ("*", "a", "b"))
+HASHED = {
+    "pointed-set": lambda: _LABELLED,
+    "pointed-map": lambda: PointedMap(_LABELLED, _LABELLED, (0, 2, 1)),
+    "sset": lambda: constant_sset(_LABELLED, 2),
+    "sset-map": lambda: constant_sset_map(PointedMap(_LABELLED, _LABELLED, (0, 2, 0)), 2),
+    "spectrum": lambda: sphere_spectrum(2, 2),
+}
+
+
+class TestHashOnce:
+    @pytest.mark.parametrize("kind", sorted(HASHED))
+    def test_hash_is_the_generated_one(self, kind):
+        x = _relabelled(HASHED[kind](), "h")
+        assert x._h is None
+        key = tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+        assert hash(x) == hash(key)
+        assert x._h == hash(key) and hash(x) == hash(key)
+
+    @pytest.mark.parametrize("kind", sorted(HASHED))
+    def test_relabelled_copy_is_equal_with_equal_hash(self, kind):
+        x = HASHED[kind]()
+        y = _relabelled(x, "other")
+        assert y is not x and dumps(y) != dumps(x)
+        assert y == x and hash(y) == hash(x)
+        assert len({x, y}) == 1
+
+    @pytest.mark.parametrize("kind", sorted(HASHED))
+    def test_stored_hash_stays_out_of_repr_and_documents(self, kind):
+        x = HASHED[kind]()
+        before = (repr(x), dumps(x))
+        hash(x)
+        assert x._h is not None
+        assert (repr(x), dumps(x)) == before
+        assert "_h" not in before[0] and "_h" not in before[1]

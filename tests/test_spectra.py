@@ -10,11 +10,12 @@ import pytest
 
 from latchcheck import spectra
 from latchcheck.documents import dumps, loads
-from latchcheck.perms import compose_perm, identity_perm
+from latchcheck.perms import compose_perm, identity_perm, multi_shuffles
 from latchcheck.pointed import PointedSet, is_iso
 from latchcheck.simplicial import (
     SimplicialMap,
     circle,
+    coequalizer_ssets,
     compose_sset_maps,
     constant_sset,
     is_iso_ssetmap,
@@ -325,29 +326,108 @@ class TestMemoizationIdempotence:
         assert len(set(results)) == 1
 
 
+def relation_quotient(a, b, n, every_block=False):
+    """The canonical quotient tables of (A ⊗ B)(n) by the relation of the
+    smash over S, one per dimension."""
+    t2 = day_tensor(a, b, n)
+    u1, u2 = spectra._triple_relation_maps(a, b, n, t2, every_block=every_block)
+    return tuple(m.table for m in coequalizer_ssets(u1, u2).legs[0].components)
+
+
+def assert_circle_generates(a, b):
+    for n in range(b.strunc + 1):
+        assert relation_quotient(a, b, n) == relation_quotient(a, b, n, every_block=True), n
+
+
+def _distinct(xs):
+    out = []
+    for x in xs:
+        if not any(x is y for y in out):
+            out.append(x)
+    return out
+
+
 class TestTripleTensorUnitSummands:
     def test_relation_maps_agree_on_empty_middle_block(self):
-        # justifies omitting q = 0 summands from the coequalizer
-        from latchcheck.spectra import _triple_relation_maps, day_tensor
-
+        # the q = 0 summands of the full relation map equally on both sides
         a = sphere_spectrum(2, 3)
         x = smash_spectrum_sset(sphere_spectrum(2, 3), two_cell_sset(3))
         for n in (1, 2):
             t2 = day_tensor(a, x, n)
-            u1full, u2 = _triple_relation_maps(a, x, n, t2, include_unit_summands=True)
-            v1, v2 = _triple_relation_maps(a, x, n, t2, include_unit_summands=False)
-            # the full coequalizer and the reduced one identify the same pairs
-            full_pairs = set()
+            u1, u2 = spectra._triple_relation_maps(a, x, n, t2, every_block=True)
             for k in range(4):
-                for i, (p1, p2) in enumerate(zip(u1full.components[k].table, u2.components[k].table)):
-                    if p1 != p2:
-                        full_pairs.add((k, min(p1, p2), max(p1, p2)))
-            reduced_pairs = set()
-            for k in range(4):
-                for i, (p1, p2) in enumerate(zip(v1.components[k].table, v2.components[k].table)):
-                    if p1 != p2:
-                        reduced_pairs.add((k, min(p1, p2), max(p1, p2)))
-            assert full_pairs == reduced_pairs
+                # the wedge lays the summands out in plan order: p, then q, then shuffles
+                sizes = []
+                for p in range(n + 1):
+                    for q in range(n - p + 1):
+                        r = n - p - q
+                        block = ((a.levels[p].levels[k].size - 1) * (sphere(q, 3).levels[k].size - 1)
+                                 * (x.levels[r].levels[k].size - 1))
+                        sizes += [(q, block)] * len(list(multi_shuffles((p, q, r))))
+                assert 1 + sum(size for _, size in sizes) == u1.dom.levels[k].size
+                start, unit_cells = 1, 0
+                for q, size in sizes:
+                    if q == 0:
+                        rows = slice(start, start + size)
+                        assert u1.components[k].table[rows] == u2.components[k].table[rows]
+                        unit_cells += size
+                    start += size
+                assert unit_cells > 0 or k == 0
+
+
+class TestCircleGeneratesTheRelation:
+    """The relation of the smash over S, built from the one-letter (q = 1)
+    summands alone, has the same quotient as the one built from every
+    middle block q = 0..n."""
+
+    def test_builtins_against_bar_s_and_sphere(self):
+        from latchcheck.builtins_corpus import BUILTIN_NAMES, builtin
+        from latchcheck.reedy import SimplicialSpectrum, SimplicialSpectrumMap
+
+        targets = []
+        for name in BUILTIN_NAMES:
+            obj = builtin(name)
+            if isinstance(obj, SymSpectrum):
+                targets.append(obj)
+            elif isinstance(obj, SimplicialSpectrum):
+                targets += obj.degrees
+            elif isinstance(obj, SimplicialSpectrumMap):
+                targets += obj.dom.degrees + obj.cod.degrees
+        targets = _distinct(targets)
+        assert len(targets) >= 5
+        for x in targets:
+            for a in (bar_s(x.strunc, x.dtrunc), sphere_spectrum(x.strunc, x.dtrunc)):
+                assert_circle_generates(a, x)
+
+    @pytest.mark.parametrize("strunc,dtrunc", [(2, 3), (3, 3), (3, 4)])
+    def test_generated_spectra(self, strunc, dtrunc):
+        import random
+
+        from latchcheck.generators import gen_spectrum
+
+        rng = random.Random(strunc * 10 + dtrunc)
+        for _ in range(15):
+            x = gen_spectrum(rng, strunc, dtrunc)
+            for a in (bar_s(strunc, dtrunc), sphere_spectrum(strunc, dtrunc)):
+                assert_circle_generates(a, x)
+
+    @pytest.mark.parametrize("suite", ["4.2", "1.4"])
+    def test_spectra_latched_by_a_suite(self, suite, monkeypatch):
+        from latchcheck.suites import run_suite
+
+        latched = []
+        real_compute = spectra._compute_latching
+
+        def computing(x, n):
+            latched.append(x)
+            return real_compute(x, n)
+
+        monkeypatch.setattr(spectra, "_compute_latching", computing)
+        assert run_suite(suite, seed=1, cases=1, strategy="adversarial").passed
+        monkeypatch.undo()
+        assert latched
+        for x in _distinct(latched):
+            assert_circle_generates(bar_s(x.strunc, x.dtrunc), x)
 
 
 class TestColimitsOfSpectra:

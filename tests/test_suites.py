@@ -27,6 +27,11 @@ class TestSummaries:
         with pytest.raises(ValueError):
             run_suite("5.5", seed=1, cases=1)
 
+    @pytest.mark.parametrize("suite", ["1.4", "4.2", "lemmas"])
+    def test_negative_case_count_rejected(self, suite):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_suite(suite, seed=1, cases=-1)
+
     def test_small_suite_passes_and_reproduces(self):
         a = run_suite("3.2", seed=3, cases=3)
         b = run_suite("3.2", seed=3, cases=3)
