@@ -15,7 +15,7 @@ from typing import Any
 
 from .builtins_corpus import BUILTIN_NAMES, builtin
 from .documents import DocumentError, canonical_json, load_path, to_document
-from .pointed import PointedMap, PointedSet, epi_missed
+from .pointed import PointedMap, PointedSet
 from .reedy import (
     SetsAmbient,
     SimplicialSpectrum,
@@ -194,8 +194,7 @@ def _resolve_witness_map(obj: Any, prop: str, witness: Witness) -> PointedMap | 
     return None
 
 
-def _replay(obj: Any, prop: str, witness_data: dict) -> tuple[bool, str]:
-    witness = Witness.from_json(witness_data)
+def _replay(obj: Any, prop: str, witness: Witness) -> tuple[bool, str]:
     fresh = _run_check(obj, prop)
     if fresh.passed or fresh.witness is None:
         return False, "check passes now; the witness is stale"
@@ -204,7 +203,7 @@ def _replay(obj: Any, prop: str, witness_data: dict) -> tuple[bool, str]:
     i, j = witness.pair
     if target is not None:
         if i == j:
-            collides = epi_missed(target) == i or target.table.count(i) == 0
+            collides = i < target.cod.size and i not in target.table
         else:
             collides = (i < target.dom.size and j < target.dom.size
                         and target.table[i] == target.table[j])
@@ -266,14 +265,16 @@ def cmd_check(args) -> int:
 
             with open(args.replay, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            witness_data = data.get("report", data).get("witness") if isinstance(data, dict) else None
-            if witness_data is None:
-                raise DocumentError("replay file carries no witness")
+            report = data.get("report", data) if isinstance(data, dict) else None
+            witness = report.get("witness") if isinstance(report, dict) else None
+            if not isinstance(witness, dict):
+                raise DocumentError("replay file carries no witness object")
+            witness = Witness.from_json(witness)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read replay file: {exc}", file=sys.stderr)
             return EXIT_INPUT
         try:
-            ok, message = _replay(obj, args.property, witness_data)
+            ok, message = _replay(obj, args.property, witness)
         except DocumentError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -91,7 +91,6 @@ def derive_rng(*parts) -> random.Random:
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
-    max_set_size: int = 4
     ktrunc: int = 3
     strunc: int = 3
     dtrunc: int = 4
@@ -155,10 +154,12 @@ def _gen_sset_once(rng: random.Random, trunc: int, max_base: int = 3,
         fresh = PointedSet(1 + n_new)
         cone = pointed.wedge([scaffold.obj, fresh])
         level_k = cone.obj
-        # degeneracies land in the latching part
-        degens.append(tuple(
-            compose(scaffold.into_latch[i], cone.legs[0]) for i in range(k)
-        ))
+        # degeneracies land in the latching part, degeneracy i on summand i
+        if k == 1:
+            degens.append((cone.legs[0],))
+        else:
+            into = compose(scaffold.quotient.legs[0], cone.legs[0])
+            degens.append(tuple(compose(leg, into) for leg in scaffold.summands.legs))
         # fresh cells draw one compatible face tuple each, used for all i
         fresh_faces = _gen_cell_faces(rng, levels, faces, k, n_new)
         # faces on the latching part are forced by the identities

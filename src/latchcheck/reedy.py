@@ -3,23 +3,26 @@
 The same latching coequalizer runs uniformly over three ambients: finite
 pointed sets, pointed simplicial sets (so simplicial objects there are
 bisimplicial sets), and symmetric spectra.  Each ambient is a small
-capability record with zero object, wedge, coequalizer, pushout, map
-algebra, and a cofibration test.  Its wedge, coequalizer and pushout
+capability record with zero object, identity, zero map, composition,
+wedge, coequalizer and a cofibration test.  Its wedge and coequalizer
 return the kernel's `CoconeResult` as the ambient's own colimit
-functions build it, and the latching code reads only its obj, legs and
-factor.  Colimits of spectra are computed levelwise and colimits of
+functions build it; pushouts are the kernel's `pointed.pushout_by` over
+them.  Colimits of spectra are computed levelwise and colimits of
 simplicial sets pointwise, all through the kernel's one lifting
 (`pointed.lift`), so the spectrum ambient's slice at a fixed level and
 dimension agrees table-for-table with the pointed-set ambient (tested).
-The wedge of simplicial spectra is the same lifting once more, over the
-degree x level x dim grid: its faces and degeneracies are induced cell
-by cell by `pointed.induced` from the degreewise wedges of spectra.
+Colimits of simplicial spectra are the same lifting once more, over the
+degree x level x dim grid (`_lift_simplicial_spectra`): their faces and
+degeneracies are induced cell by cell by `pointed.induced` from the
+degreewise colimits of spectra.
 
 The latching object at degree n is the coequalizer of the two shuffled
 coproducts of degeneracies; at degree 0 it is the zero object, at degree
 1 it is the degree-0 object with its degeneracy as comparison map.  The
-comparison map exists because the two composites into degree n agree,
-which is asserted on tables before factoring rather than assumed.
+comparison map is factored through the wedge, then the coequalizer,
+which raises MismatchError unless the two composites into degree n
+agree.  A map's two latching objects have the same shape, and
+`pointed.induced` builds the map between them piece by piece.
 
 Realization is the levelwise `simplicial.diagonal` of the associated
 bisimplicial sets and requires square truncation.  Verdicts are
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import pointed
-from .pointed import MismatchError, PointedSet, compose, identity, zero_map
+from .pointed import CoconeResult, MismatchError, PointedSet, compose, identity, zero_map
 from .reports import CheckReport, Witness, failed, passed
 from .simplicial import (
     BisimplicialSet,
@@ -48,7 +51,6 @@ from .simplicial import (
     is_mono_ssetmap,
     operator_rows,
     point_sset,
-    pushout_ssets,
     smash_ssets,
     sset_identity,
     sset_zero_map,
@@ -62,7 +64,6 @@ from .spectra import (
     coequalizer_spectra,
     compose_spectrum_maps,
     is_levelwise_cofibration,
-    pushout_spectra,
     spectrum_identity,
     spectrum_maps_equal,
     spectrum_zero_map,
@@ -94,17 +95,11 @@ class SetsAmbient:
     def compose(self, f, g):
         return compose(f, g)
 
-    def maps_equal(self, f, g):
-        return f.table == g.table
-
     def wedge(self, parts):
         return pointed.wedge(parts)
 
     def coequalizer(self, f, g):
         return pointed.coequalizer(f, g)
-
-    def pushout(self, f, g):
-        return pointed.pushout(f, g)
 
     def cofib_report(self, f, model, prop, location):
         pair = pointed.mono_witness(f)
@@ -134,17 +129,11 @@ class SsetAmbient:
     def compose(self, f, g):
         return compose_sset_maps(f, g)
 
-    def maps_equal(self, f, g):
-        return f.components == g.components
-
     def wedge(self, parts):
         return wedge_ssets(parts)
 
     def coequalizer(self, f, g):
         return coequalizer_ssets(f, g)
-
-    def pushout(self, f, g):
-        return pushout_ssets(f, g)
 
     def cofib_report(self, f, model, prop, location):
         return is_mono_ssetmap(f, prop=prop, location=location)
@@ -169,17 +158,11 @@ class SpectrumAmbient:
     def compose(self, f, g):
         return compose_spectrum_maps(f, g)
 
-    def maps_equal(self, f, g):
-        return spectrum_maps_equal(f, g)
-
     def wedge(self, parts):
         return wedge_spectra(parts)
 
     def coequalizer(self, f, g):
         return coequalizer_spectra(f, g)
-
-    def pushout(self, f, g):
-        return pushout_spectra(f, g)
 
     def cofib_report(self, f, model, prop, location):
         rep = COFIBRATION_TESTS[model](f)
@@ -219,16 +202,24 @@ def view_of_bisimplicial(b: BisimplicialSet) -> SimplicialView:
 class LatchScaffold:
     """Degree-n latching object built from data strictly below degree n.
 
-    into_latch[k] is the canonical map from the degree-(n-1) object into
-    the k-th coequalized summand; mediate takes one map out of the
-    degree-(n-1) object per summand and factors the induced map through
-    the coequalizer, asserting that the two shuffled composites agree.
+    For n >= 2, summands is the wedge of n copies of the degree-(n-1)
+    object and quotient the coequalizer of the two shuffled coproducts of
+    degeneracies into it, whose object is obj.  At n = 1 both are None
+    and obj is the degree-0 object itself.
     """
 
     n: int
     obj: object
-    into_latch: tuple
-    mediate: Callable[[Sequence[object]], object] = field(compare=False)
+    summands: CoconeResult | None = None
+    quotient: CoconeResult | None = None
+
+    def mediate(self, legs: Sequence[object]) -> object:
+        """The map out of obj given by one map out of the degree-(n-1)
+        object per summand; raises MismatchError when the maps disagree
+        on a coequalized pair, as then no such map exists."""
+        if self.summands is None:
+            return legs[0]
+        return self.quotient.factor([self.summands.factor(list(legs))])
 
 
 def latch_scaffold(obj_at: Callable[[int], object],
@@ -237,9 +228,7 @@ def latch_scaffold(obj_at: Callable[[int], object],
     if n < 1:
         raise ValueError("scaffold needs degree >= 1")
     if n == 1:
-        z0 = obj_at(0)
-        return LatchScaffold(n=1, obj=z0, into_latch=(ambient.identity(z0),),
-                             mediate=lambda legs: legs[0])
+        return LatchScaffold(n=1, obj=obj_at(0))
     z_lo = obj_at(n - 2)
     z_hi = obj_at(n - 1)
     pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -252,17 +241,7 @@ def latch_scaffold(obj_at: Callable[[int], object],
         ambient.compose(degen_at(n - 2, j - 1), cod.legs[i]) for (i, j) in pairs
     ])
     co = ambient.coequalizer(s_prime, s_second)
-    into = tuple(ambient.compose(cod.legs[k], co.legs[0]) for k in range(n))
-
-    def mediate(legs: Sequence[object]) -> object:
-        big = cod.factor(list(legs))
-        if not ambient.maps_equal(ambient.compose(s_prime, big), ambient.compose(s_second, big)):
-            raise MismatchError(
-                "summand maps disagree on a coequalized pair; no mediating map exists"
-            )
-        return co.factor([big])
-
-    return LatchScaffold(n=n, obj=co.obj, into_latch=into, mediate=mediate)
+    return LatchScaffold(n=n, obj=co.obj, summands=cod, quotient=co)
 
 
 @dataclass(frozen=True)
@@ -270,40 +249,42 @@ class LatchObject:
     n: int
     obj: object
     nu: object
-    into_latch: tuple
-    mediate: Callable | None = field(default=None, compare=False)
+    scaffold: LatchScaffold | None = None
 
 
 def simplicial_latching(view: SimplicialView, n: int, ambient) -> LatchObject:
     """Degree-n latching object with its comparison map into degree n.
 
-    Degree 0 yields the zero object, degree 1 the degree-0 object with
-    its degeneracy as comparison map.  For n >= 2 the two shuffled
-    coproducts of degeneracies are coequalized; the comparison map is
-    the mediated coproduct of the degeneracies into degree n, whose two
-    composites are asserted equal on tables before factoring.
+    Degree 0 yields the zero object and no scaffold, degree 1 the
+    degree-0 object with its degeneracy as comparison map.  For n >= 2
+    the two shuffled coproducts of degeneracies are coequalized, and the
+    comparison map is the scaffold's mediation of the degeneracies into
+    degree n, which raises MismatchError unless they agree on the
+    coequalized pairs.
     """
     if not 0 <= n <= view.top:
         raise TruncationError(f"latching degree {n} out of range 0..{view.top}")
     if n == 0:
         z = ambient.zero()
-        return LatchObject(n=0, obj=z, nu=ambient.zero_map(z, view.obj_at(0)), into_latch=())
+        return LatchObject(n=0, obj=z, nu=ambient.zero_map(z, view.obj_at(0)))
     scaffold = latch_scaffold(view.obj_at, view.degen_at, n, ambient)
     nu = scaffold.mediate([view.degen_at(n - 1, k) for k in range(n)])
-    return LatchObject(n=n, obj=scaffold.obj, nu=nu,
-                       into_latch=scaffold.into_latch, mediate=scaffold.mediate)
+    return LatchObject(n=n, obj=scaffold.obj, nu=nu, scaffold=scaffold)
 
 
 def latching_of_map(comp_at: Callable[[int], object], n: int, ambient,
                     lx: LatchObject, ly: LatchObject):
-    """Induced map between degree-n latching objects; the factorization
-    asserts naturality dynamically."""
+    """Induced map between degree-n latching objects: the degree-(n-1)
+    component on every summand, then on the quotients, where
+    `pointed.induced` raises MismatchError unless the components are
+    natural."""
     if n == 0:
         return ambient.identity(lx.obj)
     if n == 1:
         return comp_at(0)
-    legs = [ambient.compose(comp_at(n - 1), ly.into_latch[k]) for k in range(n)]
-    return lx.mediate(legs)
+    sx, sy = lx.scaffold, ly.scaffold
+    wedge_map = pointed.induced(sx.summands, sy.summands, [comp_at(n - 1)] * n)
+    return pointed.induced(sx.quotient, sy.quotient, [wedge_map])
 
 
 @dataclass(frozen=True)
@@ -321,7 +302,7 @@ def reedy_corner(dom_view: SimplicialView, cod_view: SimplicialView,
     lx = lx or simplicial_latching(dom_view, n, ambient)
     ly = ly or simplicial_latching(cod_view, n, ambient)
     lf = latching_of_map(comp_at, n, ambient, lx, ly)
-    po = ambient.pushout(lx.nu, lf)
+    po = pointed.pushout_by(ambient.wedge, ambient.coequalizer, ambient.compose, lx.nu, lf)
     corner = po.factor([comp_at(n), ly.nu])
     return CornerInfo(n=n, map=corner, pushout_obj=po.obj, legs=po.legs)
 
@@ -605,30 +586,19 @@ def realize_map(f: SimplicialSpectrumMap) -> SpectrumMap:
 def pointwise_cofiber(f: SimplicialSpectrumMap) -> tuple[SimplicialSpectrum, SimplicialSpectrumMap]:
     """Degreewise categorical cofiber Z with the projection Y -> Z.
 
-    Z at degree n is the pushout of 0 <- X_n -> Y_n (a plain colimit,
-    not a homotopy colimit); the induced operators are factored through
-    the pushouts and the simplicial identities are re-asserted.
+    Z at degree n is the coequalizer of f_n and the zero map X_n -> Y_n,
+    which is the pushout of 0 <- X_n -> Y_n (a plain colimit, not a
+    homotopy colimit); the operators of Y are induced on the quotients
+    and the simplicial identities are re-asserted.
     """
-    x, y = f.dom, f.cod
-    k = x.ktrunc
-    zero = zero_spectrum(x.strunc, x.dtrunc)
-    cones = [pushout_spectra(f.components[m], spectrum_zero_map(x.degrees[m], zero))
-             for m in range(k + 1)]
-    degrees = tuple(c.obj for c in cones)
-
-    def induce(m_from: int, m_to: int, op: SpectrumMap) -> SpectrumMap:
-        u = compose_spectrum_maps(op, cones[m_to].legs[0])
-        w = spectrum_zero_map(zero, degrees[m_to])
-        return cones[m_from].factor([u, w])
-
-    z = SimplicialSpectrum(k, degrees, *operator_rows(
-        k, lambda m, i: induce(m, m - 1, y.faces[m][i]), lambda m, i: induce(m, m + 1, y.degens[m][i])))
-    bad = identity_failure(k, z.faces, z.degens, compose_spectrum_maps,
-                           spectrum_maps_equal, lambda m: spectrum_identity(degrees[m]))
+    cone = _lift_simplicial_spectra(
+        [coequalizer_spectra(c, spectrum_zero_map(c.dom, c.cod)) for c in f.components], [f.cod])
+    z = cone.obj
+    bad = identity_failure(z.ktrunc, z.faces, z.degens, compose_spectrum_maps,
+                           spectrum_maps_equal, lambda m: spectrum_identity(z.degrees[m]))
     if bad is not None:
         raise MismatchError(f"cofiber operators violate a simplicial identity: {_identity_text(bad)}")
-    proj = SimplicialSpectrumMap(y, z, tuple(c.legs[0] for c in cones))
-    return z, proj
+    return z, cone.legs[0]
 
 
 def constant_simplicial_spectrum(sp: SymSpectrum, ktrunc: int) -> SimplicialSpectrum:
@@ -637,17 +607,25 @@ def constant_simplicial_spectrum(sp: SymSpectrum, ktrunc: int) -> SimplicialSpec
                               *operator_rows(ktrunc, lambda m, i: ident, lambda m, i: ident))
 
 
+def _lift_simplicial_spectra(cells: Sequence[CoconeResult],
+                             pieces: Sequence[SimplicialSpectrum]) -> CoconeResult:
+    """The colimit of simplicial spectra whose degree-m colimit is the
+    spectrum colimit cells[m], with faces and degeneracies induced cell
+    by cell."""
+    k = len(cells) - 1
+    return pointed.lift(cells, pieces, SimplicialSpectrumMap, lambda degrees, induce: (
+        SimplicialSpectrum(k, tuple(degrees), *operator_rows(
+            k,
+            lambda m, i: induce(m, m - 1, [p.faces[m][i] for p in pieces]),
+            lambda m, i: induce(m, m + 1, [p.degens[m][i] for p in pieces])))))
+
+
 def wedge_simplicial_spectra(parts: Sequence[SimplicialSpectrum]
                              ) -> tuple[SimplicialSpectrum, tuple[SimplicialSpectrumMap, ...]]:
     """Degreewise wedge with the induced operators and its inclusions."""
     k = parts[0].ktrunc
     if any(p.ktrunc != k for p in parts):
         raise MismatchError("wedge: simplicial truncations differ")
-    cone = pointed.lift(
-        [wedge_spectra([p.degrees[m] for p in parts]) for m in range(k + 1)], parts,
-        SimplicialSpectrumMap,
-        lambda degrees, induce: SimplicialSpectrum(k, tuple(degrees), *operator_rows(
-            k,
-            lambda m, i: induce(m, m - 1, [p.faces[m][i] for p in parts]),
-            lambda m, i: induce(m, m + 1, [p.degens[m][i] for p in parts]))))
+    cone = _lift_simplicial_spectra([wedge_spectra([p.degrees[m] for p in parts])
+                                     for m in range(k + 1)], parts)
     return cone.obj, cone.legs

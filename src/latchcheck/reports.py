@@ -7,7 +7,7 @@ they carry enough location data to be replayed against a fresh run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,19 @@ class Witness:
 
     @staticmethod
     def from_json(data: dict) -> "Witness":
-        return Witness(
-            location=tuple((str(n), int(v)) for n, v in data["location"]),
-            pair=(int(data["pair"][0]), int(data["pair"][1])),
-            provenance=str(data.get("provenance", "")),
-        )
+        """The witness to_json wrote; ValueError on anything else.  Indices
+        are non-negative ints, never bools, and the pair has exactly two."""
+        def index(v) -> bool:
+            return type(v) is int and v >= 0
+
+        loc, pair, provenance = data.get("location"), data.get("pair"), data.get("provenance", "")
+        if not (isinstance(loc, list) and all(isinstance(e, list) and len(e) == 2
+                                              and isinstance(e[0], str) and index(e[1]) for e in loc)
+                and isinstance(pair, list) and len(pair) == 2 and all(map(index, pair))
+                and isinstance(provenance, str)):
+            raise ValueError("a witness needs a location of [axis, index] pairs, a pair of "
+                             "two non-negative integers and a string provenance")
+        return Witness(tuple(map(tuple, loc)), tuple(pair), provenance)
 
 
 @dataclass(frozen=True)

@@ -465,14 +465,15 @@ class TensorSummand:
 
 @dataclass(frozen=True)
 class TensorResult:
-    """(A ⊗ B)(n) as a wedge of shuffled smash summands with its action."""
+    """(A ⊗ B)(n) as a wedge of shuffled smash summands with its action;
+    cone is the wedge cocone.  The summand plan depends only on n."""
 
     n: int
     obj: SimplicialSet
     summands: tuple[TensorSummand, ...]
     gens: tuple[SimplicialMap, ...]
     index_of: dict = field(compare=False, repr=False)
-    factor: Callable[[Sequence[SimplicialMap]], SimplicialMap] = field(compare=False)
+    cone: CoconeResult = field(compare=False)
     split: Callable[[int, int], tuple[int, int]] = field(compare=False)
     describe: Callable[[int, int], str] = field(compare=False)
 
@@ -525,19 +526,19 @@ def day_tensor(a: SymSpectrum, b: SymSpectrum, n: int) -> TensorResult:
                 f"{a.levels[s.p].levels[k].label(ai)}⊗{b.levels[s.q].levels[k].label(bi)}")
 
     return TensorResult(n=n, obj=w.obj, summands=summands, gens=tuple(gens),
-                        index_of=index_of, factor=w.factor, split=split, describe=describe)
+                        index_of=index_of, cone=w, split=split, describe=describe)
 
 
 @dataclass(frozen=True)
 class SmashResult:
-    """(A ∧_S B)(n): the coequalized tensor with its descended action."""
+    """(A ∧_S B)(n): the coequalized tensor with its descended action;
+    cone is the coequalizer cocone, its leg the quotient of tensor.obj."""
 
     n: int
     obj: SimplicialSet
     tensor: TensorResult
-    quotient: SimplicialMap
     gens: tuple[SimplicialMap, ...]
-    factor: Callable[[Sequence[SimplicialMap]], SimplicialMap] = field(compare=False)
+    cone: CoconeResult = field(compare=False)
     describe: Callable[[int, int], str] = field(compare=False)
 
 
@@ -651,8 +652,7 @@ def smash_over_s(a: SymSpectrum, b: SymSpectrum, n: int) -> SmashResult:
         # a class is named by its least member
         return f"[{t2.describe(k, co.cells[k].reps[idx])}]"
 
-    return SmashResult(n=n, obj=co.obj, tensor=t2, quotient=co.legs[0], gens=gens,
-                       factor=co.factor, describe=describe)
+    return SmashResult(n=n, obj=co.obj, tensor=t2, gens=gens, cone=co, describe=describe)
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +690,12 @@ def unit_oracle(x: SymSpectrum, n: int) -> UnitIso:
         act = realize_perm(x, n, summand.gamma)
         legs.append(compose_sset_maps(
             SimplicialMap(summand.sset, lam.cod, lam.components), act))
-    phi = sm.tensor.factor(legs)
-    back = sm.factor([phi])  # raises if phi does not coequalize the relations
+    phi = sm.tensor.cone.factor(legs)
+    back = sm.cone.factor([phi])  # raises if phi does not coequalize the relations
     unit_summand = sm.tensor.summands[sm.tensor.index_of[(0, n, identity_perm(n))]]
     into = compose_sset_maps(
         SimplicialMap(x.levels[n], sm.obj,
-                      compose_sset_maps(unit_summand.leg, sm.quotient).components),
+                      compose_sset_maps(unit_summand.leg, sm.cone.legs[0]).components),
         sset_identity(sm.obj),
     )
     round1 = compose_sset_maps(into, back)
@@ -782,24 +782,24 @@ def _compute_latching(x: SymSpectrum, n: int) -> LatchingResult:
         legs.append(compose_sset_maps(SimplicialMap(summand.sset, lam.cod, lam.components),
                                       realize_perm(x, n, summand.gamma)))
     # raises MismatchError if the legs do not coequalize the relations
-    nu = sm_bar.factor([sm_bar.tensor.factor(legs)])
+    nu = sm_bar.cone.factor([sm_bar.tensor.cone.factor(legs)])
     return LatchingResult(n=n, obj=sm_bar.obj, gens=sm_bar.gens, nu=nu,
                           smash=sm_bar, describe=sm_bar.describe)
 
 
 def latching_map_of_spectrum_map(f: SpectrumMap, n: int) -> SimplicialMap:
-    """Functorial part: the induced map between latching levels."""
+    """Functorial part: the map L_nX -> L_nY induced by f.  Both tensors
+    have the same summand plan, and bar_s(p) ∧ f(q) maps summand j to
+    summand j; `pointed.induced` builds the map of wedges and descends it
+    to the quotients, raising MismatchError if it does not respect them."""
     lx = spectral_latching(f.dom, n)
     ly = spectral_latching(f.cod, n)
-    legs = []
-    for summand in lx.smash.tensor.summands:
-        tgt = ly.smash.tensor.summands[ly.smash.tensor.index_of[(summand.p, summand.q, summand.gamma)]]
-        local = smash_sset_maps(sset_identity(bar_s(f.dom.strunc, f.dom.dtrunc).levels[summand.p]),
-                                f.components[summand.q])
-        legs.append(compose_sset_maps(compose_sset_maps(
-            SimplicialMap(summand.sset, local.cod, local.components), tgt.leg), ly.smash.quotient))
-    to_ly = lx.smash.tensor.factor(legs)
-    return lx.smash.factor([to_ly])
+    bar = bar_s(f.dom.strunc, f.dom.dtrunc)
+    to_ly = pointed.induced(lx.smash.tensor.cone, ly.smash.tensor.cone, [
+        smash_sset_maps(sset_identity(bar.levels[s.p]), f.components[s.q])
+        for s in lx.smash.tensor.summands
+    ])
+    return pointed.induced(lx.smash.cone, ly.smash.cone, [to_ly])
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,10 @@ def _adversarial_instance(cfg: GenConfig, case: int, theorem: str) -> TheoremIns
 
 
 def run_theorem_suite(suite: str, seed: int, cases: int,
-                      strategy: str = "structured-good",
-                      cfg: GenConfig | None = None) -> SuiteSummary:
+                      strategy: str = "structured-good") -> SuiteSummary:
     name = SUITE_ALIASES[suite]
     theorem = _THEOREM_ID[name]
-    cfg = cfg or default_config(name, seed, strategy)
+    cfg = default_config(name, seed, strategy)
     pool = _coefficient_pool(cfg.seed, cfg.dtrunc)
     summary = SuiteSummary(suite=name, seed=seed, strategy=cfg.strategy,
                            cases=cases, passes=0, discards=0)

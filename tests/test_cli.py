@@ -172,6 +172,38 @@ class TestCheck:
         run_cli("check", "--builtin", "bar-s", "flat",
                 "--replay", str(witness_file), expect=1)
 
+    # the witness bar-s flat reports, at spectral level 2 and dim 1
+    _WITNESS = {"location": [["spectral_level", 2], ["dim", 1]], "pair": [1, 2],
+                "provenance": ""}
+
+    @pytest.mark.parametrize("report", [
+        5,
+        {"witness": 3},
+        {"witness": dict(_WITNESS, location=1)},
+        {"witness": dict(_WITNESS, location=[["spectral_level", 2], ["dim", "x"]])},
+        {"witness": dict(_WITNESS, location=[["spectral_level", 2, 0]])},
+        {"witness": dict(_WITNESS, pair=[1])},
+        {"witness": dict(_WITNESS, pair=[1, 2, 3])},
+        {"witness": dict(_WITNESS, pair=[-1, -2])},
+        {"witness": dict(_WITNESS, pair=[True, 2])},
+        {"witness": dict(_WITNESS, provenance=7)},
+    ], ids=["report-int", "witness-int", "location-int", "index-string", "location-triple",
+            "pair-short", "pair-long", "pair-negative", "pair-bool", "provenance-int"])
+    def test_replay_of_malformed_witness_is_input_error(self, tmp_path, report):
+        witness_file = tmp_path / "witness.json"
+        witness_file.write_text(json.dumps({"report": report}))
+        proc = run_cli("check", "--builtin", "bar-s", "flat",
+                       "--replay", str(witness_file), expect=2)
+        assert "Traceback" not in proc.stderr
+
+    def test_replay_of_index_outside_the_map_is_not_reproduced(self, tmp_path):
+        # a pair (i, i) cites i as missed by the map; an i past its codomain is no such element
+        witness_file = tmp_path / "witness.json"
+        witness_file.write_text(json.dumps({"report": {"witness": dict(self._WITNESS, pair=[99, 99])}}))
+        proc = run_cli("check", "--builtin", "bar-s", "flat",
+                       "--replay", str(witness_file), expect=1)
+        assert "NOT REPRODUCED" in proc.stdout
+
 
 class TestConstructions:
     def test_latch_simplicial_0_outputs_zero_object(self, tmp_path):

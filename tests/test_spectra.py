@@ -182,8 +182,8 @@ class TestUnitOracle:
                 act = realize_perm(b, n, summand.gamma)
                 legs.append(compose_sset_maps(
                     SimplicialMap(summand.sset, ra.cod, ra.components), act))
-            psi = sm.tensor.factor(legs)
-            back = sm.factor([psi])
+            psi = sm.tensor.cone.factor(legs)
+            back = sm.cone.factor([psi])
             assert all(is_iso(c) for c in back.components)
 
 
@@ -581,8 +581,8 @@ def unit_iso_latching(x, n):
         tgt = sm_s.tensor.summands[sm_s.tensor.index_of[(summand.p, summand.q, summand.gamma)]]
         local = smash_sset_maps(incl.components[summand.p], sset_identity(x.levels[summand.q]))
         legs.append(compose_sset_maps(compose_sset_maps(
-            SimplicialMap(summand.sset, local.cod, local.components), tgt.leg), sm_s.quotient))
-    w = sm_bar.factor([sm_bar.tensor.factor(legs)])
+            SimplicialMap(summand.sset, local.cod, local.components), tgt.leg), sm_s.cone.legs[0]))
+    w = sm_bar.cone.factor([sm_bar.tensor.cone.factor(legs)])
     return sm_bar, compose_sset_maps(w, unit.back)
 
 
