@@ -329,15 +329,16 @@ def _quotient_spectrum(rng: random.Random, x: SymSpectrum, n_seeds: int) -> SymS
     degeneracies, action generators and structure maps; cell (n, l) is
     spectral level n at dimension l.  The quotient is built by the
     spectrum lifting, whose induced operators assert single-valuedness."""
-    d = x.dtrunc
+    circ = circle(x.dtrunc)
 
     def images(n: int, l: int) -> list:
         out = _sset_images(x.levels[n], n, l) + [((n, l), g.components[l].table) for g in x.gens[n]]
         if n < x.strunc:
+            # row a of sigma is its restriction to {a} ∧ X(n)
             sig = x.sigmas[n].components[l].table
-            ca, xl = circle(d).levels[l], x.levels[n].levels[l]
-            out += [((n + 1, l), [sig[pointed.smash_index(ca, xl, a, i)] for i in range(xl.size)])
-                    for a in range(1, ca.size)]
+            w = x.levels[n].levels[l].size - 1
+            out += [((n + 1, l), (0,) + sig[1 + a * w:1 + (a + 1) * w])
+                    for a in range(circ.levels[l].size - 1)]
         return out
 
     quots = _congruence(rng, [lvl.levels for lvl in x.levels], n_seeds, images)

@@ -292,6 +292,13 @@ def smash_map(f: PointedMap, g: PointedMap) -> PointedMap:
     return PointedMap(dom, cod, tuple(table))
 
 
+def smash_swap(a: PointedSet, b: PointedSet) -> PointedMap:
+    """The symmetry a ∧ b -> b ∧ a, sending the pair (i, j) to (j, i)."""
+    aw, bw = a.size - 1, b.size - 1
+    table = [0] + [1 + j * aw + i for i in range(aw) for j in range(bw)]
+    return PointedMap(smash_sets(a, b), smash_sets(b, a), tuple(table))
+
+
 def union(parent: list[int], x: int, y: int) -> bool:
     """Merge the classes of x and y in a flat union-find; False when they
     were already one class.

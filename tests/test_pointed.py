@@ -29,6 +29,7 @@ from latchcheck.pointed import (
     smash_map,
     smash_sets,
     smash_split,
+    smash_swap,
     wedge,
     wedge_split,
     zero_map,
@@ -169,6 +170,17 @@ class TestSmash:
         f = PointedMap(A2, A3, (0, 2))
         g = PointedMap(A3, A4, (0, 1, 3))
         assert is_mono(smash_map(f, g))
+
+    @given(st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_swap_is_the_symmetry(self, m, n):
+        a, b = PointedSet(m), PointedSet(n)
+        swap = smash_swap(a, b)
+        assert (swap.dom, swap.cod) == (smash_sets(a, b), smash_sets(b, a))
+        assert compose(swap, smash_swap(b, a)) == identity(smash_sets(a, b))
+        for idx in range(1, swap.dom.size):
+            i, j = smash_split(a, b, idx)
+            assert swap(idx) == smash_index(b, a, j, i)
 
 
 def exhaustive_factor_uniqueness(cone: CoconeResult, competing, mediating):
